@@ -6,46 +6,17 @@
 // fillers x {linear, indexed} backends, comparing probe and removal cost
 // in the units the mote would feel — the simulated microseconds the VM
 // cost model charges per tuple-space instruction.
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
-#include <new>
 
+// Host-side allocation accounting for the zero-copy section: allocs/op
+// below measures the real data-plane behaviour (compiled templates +
+// wire-byte matching should make the probe loop allocation-free).
+#include "alloc_counter.h"
 #include "bench_common.h"
 #include "harness/runner.h"
 
 using namespace agilla;
 using namespace agilla::bench;
-
-// ---------------------------------------------------------------------------
-// Host-side allocation accounting for the zero-copy section: every heap
-// allocation in this binary bumps the counter, so allocs/op below measures
-// the real data-plane behaviour (compiled templates + wire-byte matching
-// should make the probe loop allocation-free).
-namespace {
-std::atomic<unsigned long long> g_allocs{0};
-}  // namespace
-
-// noinline: letting GCC inline one half of a replaced new/delete pair
-// trips false -Wmismatched-new-delete / -Wfree-nonheap-object warnings.
-[[gnu::noinline]] void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc{};
-}
-[[gnu::noinline]] void* operator new[](std::size_t size) {
-  return ::operator new(size);
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -74,8 +45,7 @@ void measure_host_rdp(ts::StoreKind kind) {
   for (int i = 0; i < 1000; ++i) {  // warm caches before measuring
     (void)store->read(i % 2 ? hit : miss);
   }
-  const unsigned long long allocs_before =
-      g_allocs.load(std::memory_order_relaxed);
+  const unsigned long long allocs_before = allocations();
   const auto start = std::chrono::steady_clock::now();
   std::size_t found = 0;
   for (int i = 0; i < kIters; ++i) {
@@ -87,8 +57,7 @@ void measure_host_rdp(ts::StoreKind kind) {
       kIters;
   std::printf("  %-8s  %8.1f ns/op   %6.2f allocs/op   (%zu hits)\n",
               ts::to_string(kind), ns,
-              static_cast<double>(g_allocs.load(std::memory_order_relaxed) -
-                                  allocs_before) /
+              static_cast<double>(allocations() - allocs_before) /
                   kIters,
               found);
 }

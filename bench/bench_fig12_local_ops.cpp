@@ -30,6 +30,7 @@ struct ProfileRig {
     const sim::NodeId id = network.add_node({1, 1});
     mote = std::make_unique<core::AgillaMiddleware>(network, id,
                                                     &environment);
+    mote->engine().set_opcode_profiling(true);  // off unless asked for
     // NOT started: radio stays silent. Seed the acquaintance list by hand
     // so getnbr/randnbr/numnbrs have data to work on.
     mote->neighbors().insert(sim::NodeId{1}, {2, 1});

@@ -121,6 +121,15 @@ cmp build/loadgen_a.json build/loadgen_b.json
 grep -q '"protocol_errors": 0' build/loadgen_a.json
 echo "gateway loopback smoke byte-identical across runs"
 
+echo "== gateway soak: 16-bit remote request ids wrap onto pending ones =="
+# 1,000 sessions x 256 ops issue more than 65,536 remote ops within one
+# request's lifetime, so request ids wrap while earlier ones are still
+# pending; every session must still finish (the loadgen exits non-zero
+# if one hangs or fails).
+./build/agilla_loadgen --loopback --grid 16x16 --clients 1000 --ops 256 \
+  --out build/loadgen_ids.json > /dev/null
+echo "gateway soak: every session finished"
+
 echo "== gateway smoke: live TCP daemon round trip =="
 rm -f build/gatewayd_port build/gatewayd_metrics.json
 # Background ONLY the daemon command ($! must be the daemon, not a

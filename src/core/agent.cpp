@@ -1,11 +1,6 @@
 #include "core/agent.h"
 
 namespace agilla::core {
-namespace {
-
-const ts::Value kInvalidValue{};
-
-}  // namespace
 
 const char* to_string(AgentRunState s) {
   switch (s) {
@@ -29,40 +24,17 @@ Agent::Agent(AgentId id, CodeHandle code) : id_(id), code_(code) {
   stack_.reserve(kStackDepth);
 }
 
-bool Agent::push(const ts::Value& v) {
-  if (stack_.size() >= kStackDepth) {
-    return false;
-  }
-  stack_.push_back(v);
-  return true;
-}
-
-ts::Value Agent::pop() {
-  if (stack_.empty()) {
-    return kInvalidValue;
-  }
-  ts::Value v = stack_.back();
-  stack_.pop_back();
-  return v;
-}
-
-const ts::Value& Agent::peek(std::size_t depth_from_top) const {
-  if (depth_from_top >= stack_.size()) {
-    return kInvalidValue;
-  }
-  return stack_[stack_.size() - 1 - depth_from_top];
-}
-
 void Agent::restore_stack(std::vector<ts::Value> values) {
   if (values.size() > kStackDepth) {
     values.resize(kStackDepth);
   }
   stack_ = std::move(values);
+  stack_.reserve(kStackDepth);  // keeps push allocation-free
 }
 
 const ts::Value& Agent::heap(std::size_t slot) const {
   if (slot >= heap_.size()) {
-    return kInvalidValue;
+    return kNoValue;
   }
   return heap_[slot];
 }

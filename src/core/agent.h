@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,11 +56,36 @@ class Agent {
   void set_code(CodeHandle code) { code_ = code; }
 
   // --- operand stack ---------------------------------------------------------
+  // Defined inline: every instruction touches the stack at least once.
   /// False on overflow (a VM error; the engine kills the agent).
-  [[nodiscard]] bool push(const ts::Value& v);
+  [[nodiscard]] bool push(const ts::Value& v) {
+    if (stack_.size() >= kStackDepth) {
+      return false;
+    }
+    stack_.push_back(v);
+    return true;
+  }
   /// Invalid Value on underflow.
-  ts::Value pop();
-  [[nodiscard]] const ts::Value& peek(std::size_t depth_from_top = 0) const;
+  ts::Value pop() {
+    if (stack_.empty()) {
+      return ts::Value{};
+    }
+    const ts::Value v = stack_.back();
+    stack_.pop_back();
+    return v;
+  }
+  [[nodiscard]] const ts::Value& peek(std::size_t depth_from_top = 0) const {
+    return depth_from_top < stack_.size()
+               ? stack_[stack_.size() - 1 - depth_from_top]
+               : kNoValue;
+  }
+  /// The top `n` entries in push order (deepest first), read in place;
+  /// the caller checks n <= stack_depth(). Valid until the next push/pop.
+  [[nodiscard]] std::span<const ts::Value> top(std::size_t n) const {
+    return {stack_.data() + (stack_.size() - n), n};
+  }
+  /// Discards the top `n` entries (n <= stack_depth()).
+  void drop(std::size_t n) { stack_.resize(stack_.size() - n); }
   [[nodiscard]] std::size_t stack_depth() const { return stack_.size(); }
   [[nodiscard]] const std::vector<ts::Value>& stack() const { return stack_; }
   void clear_stack() { stack_.clear(); }
@@ -107,6 +133,8 @@ class Agent {
   }
 
  private:
+  static constexpr ts::Value kNoValue{};
+
   AgentId id_;
   std::uint16_t pc_ = 0;
   std::int16_t condition_ = 0;

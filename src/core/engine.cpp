@@ -210,16 +210,18 @@ void AgillaEngine::tick() {
 
     // A woken in/rd retries its probe before executing anything.
     if (agent->blocked_probe().has_value()) {
-      const Agent::BlockedProbe probe = *agent->blocked_probe();
+      const Agent::BlockedProbe& probe = *agent->blocked_probe();
       const auto result = probe.remove ? tuple_space_.inp(probe.templ)
                                        : tuple_space_.rdp(probe.templ);
       const auto probe_raw =
           static_cast<std::uint8_t>(probe.remove ? Opcode::kIn : Opcode::kRd);
       const sim::SimTime probe_cost = options_.costs.instruction_cost(
           probe_raw, tuple_space_.store().last_op_bytes_touched(), true);
-      OpcodeProfile& entry = profile_[probe_raw];
-      entry.count++;
-      entry.total_cost += probe_cost;
+      if (profile_opcodes_) {
+        OpcodeProfile& entry = profile_[probe_raw];
+        entry.count++;
+        entry.total_cost += probe_cost;
+      }
       cost += probe_cost;
       if (!result.has_value()) {
         block_agent(*agent, AgentRunState::kBlockedTs, "tuple");

@@ -192,9 +192,15 @@ class AgillaEngine {
 
   [[nodiscard]] const EngineStats& stats() const { return stats_; }
 
+  /// Turns the per-opcode execution profile on or off (off by default).
+  /// While off, the dispatch loops skip it entirely; like the taps it is
+  /// observational only.
+  void set_opcode_profiling(bool on) { profile_opcodes_ = on; }
+
   /// Per-opcode execution profile (key: raw opcode byte; getvar/setvar
-  /// collapse onto their base opcode). Materialized from the engine's
-  /// flat per-byte table; only executed opcodes appear.
+  /// collapse onto their base opcode), counted while profiling is on.
+  /// Materialized from the engine's flat per-byte table; only executed
+  /// opcodes appear, so it is empty unless profiling was turned on.
   [[nodiscard]] std::unordered_map<std::uint8_t, OpcodeProfile>
   opcode_profile() const;
 
@@ -215,9 +221,10 @@ class AgillaEngine {
   friend class VmDispatcher;
 
   /// One branch per instruction when everything is off: the dispatch
-  /// loops hoist this per slice and skip both note_* calls entirely.
+  /// loops hoist this per slice and skip the note_* calls and the opcode
+  /// profile entirely.
   [[nodiscard]] bool insn_taps_active() const {
-    return trace_capacity_ != 0 ||
+    return profile_opcodes_ || trace_capacity_ != 0 ||
            static_cast<bool>(hooks_.on_pre_insn) ||
            static_cast<bool>(hooks_.on_post_insn);
   }
@@ -269,7 +276,8 @@ class AgillaEngine {
   std::size_t trace_capacity_ = 0;
   std::vector<TraceRecord> trace_ring_;
   std::size_t trace_next_ = 0;  ///< overwrite cursor once the ring is full
-  /// Flat per-opcode-byte table: O(1) updates on the instruction hot path.
+  bool profile_opcodes_ = false;
+  /// Flat per-opcode-byte table: O(1) updates while profiling is on.
   std::array<OpcodeProfile, 256> profile_{};
 };
 

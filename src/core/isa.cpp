@@ -67,21 +67,32 @@ constexpr std::array kOpcodeTable = {
     OpcodeInfo{Opcode::kPushrt, "pushrt", 1, CostClass::kMemory},
 };
 
+/// Raw opcode byte -> index into kOpcodeTable (kNoOpcode when undefined),
+/// getvar/setvar slots folded onto their base: opcode_info() runs for every
+/// decode and every tuple-op cost charge, so it is one indexed load.
+constexpr std::uint8_t kNoOpcode = 0xFF;
+constexpr std::array<std::uint8_t, 256> kInfoIndex = [] {
+  static_assert(kOpcodeTable.size() < kNoOpcode);
+  std::array<std::uint8_t, 256> index{};
+  index.fill(kNoOpcode);
+  for (std::size_t i = 0; i < kOpcodeTable.size(); ++i) {
+    index[static_cast<std::uint8_t>(kOpcodeTable[i].opcode)] =
+        static_cast<std::uint8_t>(i);
+  }
+  for (std::size_t slot = 1; slot < kHeapSlots; ++slot) {
+    index[static_cast<std::uint8_t>(Opcode::kGetVar0) + slot] =
+        index[static_cast<std::uint8_t>(Opcode::kGetVar0)];
+    index[static_cast<std::uint8_t>(Opcode::kSetVar0) + slot] =
+        index[static_cast<std::uint8_t>(Opcode::kSetVar0)];
+  }
+  return index;
+}();
+
 }  // namespace
 
 const OpcodeInfo* opcode_info(std::uint8_t raw) {
-  std::uint8_t slot = 0;
-  if (is_getvar(raw, &slot)) {
-    raw = static_cast<std::uint8_t>(Opcode::kGetVar0);
-  } else if (is_setvar(raw, &slot)) {
-    raw = static_cast<std::uint8_t>(Opcode::kSetVar0);
-  }
-  for (const auto& info : kOpcodeTable) {
-    if (static_cast<std::uint8_t>(info.opcode) == raw) {
-      return &info;
-    }
-  }
-  return nullptr;
+  const std::uint8_t i = kInfoIndex[raw];
+  return i == kNoOpcode ? nullptr : &kOpcodeTable[i];
 }
 
 std::optional<Opcode> opcode_by_mnemonic(const std::string& mnemonic) {

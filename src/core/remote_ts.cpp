@@ -1,6 +1,7 @@
 #include "core/remote_ts.h"
 
 #include <cassert>
+#include <limits>
 #include <utility>
 
 #include "net/packet.h"
@@ -58,26 +59,55 @@ std::uint64_t RemoteTsManager::replay_key(sim::Location origin,
          (static_cast<std::uint64_t>(y) << 16) | request_id;
 }
 
+std::optional<std::uint16_t> RemoteTsManager::allocate_id() {
+  // Ids wrap at 16 bits; skip any still pending, so a reply or a timer
+  // can only ever reach the request it belongs to.
+  if (pending_.size() > std::numeric_limits<std::uint16_t>::max()) {
+    return std::nullopt;
+  }
+  while (pending_.contains(next_request_id_)) {
+    ++next_request_id_;
+  }
+  return next_request_id_++;
+}
+
+void RemoteTsManager::fail_unsent(Completion done) {
+  stats_.ids_exhausted++;
+  sim_.schedule_in(0, [done = std::move(done)] {
+    if (done) {
+      done(false, std::nullopt);
+    }
+  });
+}
+
 void RemoteTsManager::request_out(sim::Location dest, const ts::Tuple& tuple,
                                   Completion done) {
-  const std::uint16_t id = next_request_id_++;
+  const std::optional<std::uint16_t> id = allocate_id();
+  if (!id.has_value()) {
+    fail_unsent(std::move(done));
+    return;
+  }
   net::Writer w;
-  w.u16(id);
+  w.u16(*id);
   w.u8(static_cast<std::uint8_t>(RemoteOp::kOut));
   tuple.encode(w);
-  dispatch(id, dest, w.take(), std::move(done));
+  dispatch(*id, dest, w.take(), std::move(done));
 }
 
 void RemoteTsManager::request_probe(RemoteOp op, sim::Location dest,
                                     const ts::Template& templ,
                                     Completion done) {
   assert(op == RemoteOp::kInp || op == RemoteOp::kRdp);
-  const std::uint16_t id = next_request_id_++;
+  const std::optional<std::uint16_t> id = allocate_id();
+  if (!id.has_value()) {
+    fail_unsent(std::move(done));
+    return;
+  }
   net::Writer w;
-  w.u16(id);
+  w.u16(*id);
   w.u8(static_cast<std::uint8_t>(op));
   templ.encode(w);
-  dispatch(id, dest, w.take(), std::move(done));
+  dispatch(*id, dest, w.take(), std::move(done));
 }
 
 void RemoteTsManager::dispatch(std::uint16_t request_id, sim::Location dest,

@@ -49,6 +49,8 @@ class RemoteTsManager {
     std::uint64_t duplicates_replayed = 0;
     std::uint64_t timeouts = 0;      ///< operations that failed outright
     std::uint64_t completions = 0;   ///< operations that got a reply
+    /// Operations failed unsent: every 16-bit request id was pending.
+    std::uint64_t ids_exhausted = 0;
   };
 
   /// `success` is true when the op succeeded at the destination (for
@@ -86,6 +88,13 @@ class RemoteTsManager {
     std::vector<std::uint8_t> reply;
   };
 
+  /// The next request id not held by a pending request; nullopt when all
+  /// 65,536 are pending.
+  std::optional<std::uint16_t> allocate_id();
+  /// Completes a request that got no id as failed, from a zero-delay
+  /// event as a reply would: completing inside the request call would
+  /// resume an agent whose slice is still running.
+  void fail_unsent(Completion done);
   void dispatch(std::uint16_t request_id, sim::Location dest,
                 std::vector<std::uint8_t> request, Completion done);
   void transmit(std::uint16_t request_id);

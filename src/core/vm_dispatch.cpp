@@ -6,8 +6,8 @@
 #include "core/engine.h"
 #include "net/packet.h"
 
-// Labels-as-values needs a GNU-compatible compiler; everything else takes
-// the handler-pointer table fallback below.
+// Labels-as-values needs a GNU-compatible compiler; without it every slice
+// runs on the reference switch interpreter.
 #if defined(__GNUC__) || defined(__clang__)
 #define AGILLA_COMPUTED_GOTO 1
 #else
@@ -284,6 +284,7 @@ void VmDispatcher::on_code_released(CodeHandle handle) {
 // --------------------------------------------------------------------------
 
 void VmDispatcher::run_slice(Agent& agent, sim::SimTime& cost) {
+#if AGILLA_COMPUTED_GOTO
   if (e_.options_.dispatch == DispatchMode::kThreaded) {
     // The stack copy pins the template for the whole slice: a handler that
     // destroys the agent (halt, completed smove) releases the code handle
@@ -296,6 +297,7 @@ void VmDispatcher::run_slice(Agent& agent, sim::SimTime& cost) {
       return;
     }
   }
+#endif
   run_slice_switch(agent, cost);
 }
 
@@ -348,16 +350,28 @@ void VmDispatcher::run_slice_switch(Agent& agent, sim::SimTime& cost) {
       e_.stats_.instructions++;
     }
     result = execute(agent, d, cost);
-    OpcodeProfile& entry = e_.profile_[d.profile_key];
-    entry.count++;
-    entry.total_cost += cost - cost_before;
-    if (taps && result != StepResult::kGone) {
-      // kGone means the instruction destroyed the agent (halt, fatal
-      // error, completed migration): no post tap for a dead agent.
-      e_.note_post_insn(insn_agent, insn_pc, d.raw);
+    if (taps) {
+      after_insn(insn_agent, insn_pc, d, result, cost - cost_before);
     }
   }
 }
+
+void VmDispatcher::after_insn(AgentId id, std::uint16_t pc,
+                              const DecodedInsn& d, StepResult result,
+                              sim::SimTime insn_cost) {
+  if (e_.profile_opcodes_) {
+    OpcodeProfile& entry = e_.profile_[d.profile_key];
+    entry.count++;
+    entry.total_cost += insn_cost;
+  }
+  // kGone means the instruction destroyed the agent (halt, fatal error,
+  // completed migration): no post tap for a dead agent.
+  if (result != StepResult::kGone) {
+    e_.note_post_insn(id, pc, d.raw);
+  }
+}
+
+#if AGILLA_COMPUTED_GOTO
 
 void VmDispatcher::run_slice_threaded(Agent& agent,
                                       const DecodedProgram& program,
@@ -370,7 +384,6 @@ void VmDispatcher::run_slice_threaded(Agent& agent,
   const AgentId insn_agent = agent.id();
   std::size_t executed = 0;
 
-#if AGILLA_COMPUTED_GOTO
   // Label table indexed by OpClass — order must match the enum exactly.
   static const void* const kLabels[] = {
       &&lbl_halt,    &&lbl_loc,     &&lbl_aid,      &&lbl_rand,
@@ -446,73 +459,16 @@ lbl_truncated: result = h_truncated(agent, *d, cost); goto insn_done;
   // clang-format on
 
 insn_done : {
-  OpcodeProfile& entry = e_.profile_[d->profile_key];
-  entry.count++;
-  entry.total_cost += cost - cost_before;
-  if (taps && result != StepResult::kGone) {
-    e_.note_post_insn(insn_agent, insn_pc, d->raw);
+  if (taps) {
+    after_insn(insn_agent, insn_pc, *d, result, cost - cost_before);
   }
   if (result == StepResult::kContinue && ++executed < per_slice) {
     goto next_insn;
   }
   return;
 }
-#else
-  // Handler-pointer table fallback for compilers without labels-as-values.
-  using Handler = StepResult (VmDispatcher::*)(Agent&, const DecodedInsn&,
-                                               sim::SimTime&);
-  static constexpr Handler kHandlers[] = {
-      &VmDispatcher::h_halt,      &VmDispatcher::h_loc,
-      &VmDispatcher::h_aid,       &VmDispatcher::h_rand,
-      &VmDispatcher::h_numnbrs,   &VmDispatcher::h_sense,
-      &VmDispatcher::h_sleep,     &VmDispatcher::h_putled,
-      &VmDispatcher::h_copy,      &VmDispatcher::h_pop,
-      &VmDispatcher::h_swap,      &VmDispatcher::h_wait,
-      &VmDispatcher::h_jumps,     &VmDispatcher::h_depth,
-      &VmDispatcher::h_clear,     &VmDispatcher::h_cpush,
-      &VmDispatcher::h_arith,     &VmDispatcher::h_not,
-      &VmDispatcher::h_incdec,    &VmDispatcher::h_migrate,
-      &VmDispatcher::h_getnbr,    &VmDispatcher::h_randnbr,
-      &VmDispatcher::h_compare,   &VmDispatcher::h_rjump,
-      &VmDispatcher::h_rjumpc,    &VmDispatcher::h_jump,
-      &VmDispatcher::h_tuple,     &VmDispatcher::h_remote,
-      &VmDispatcher::h_getvar,    &VmDispatcher::h_setvar,
-      &VmDispatcher::h_push,      &VmDispatcher::h_undefined,
-      &VmDispatcher::h_truncated,
-  };
-  static_assert(sizeof(kHandlers) / sizeof(kHandlers[0]) ==
-                static_cast<std::size_t>(OpClass::kCount));
-
-  StepResult result = StepResult::kContinue;
-  while (true) {
-    const std::uint16_t pc = agent.pc();
-    if (pc >= program.size()) {
-      e_.die(agent, "program counter out of range");
-      return;
-    }
-    const DecodedInsn& d = program.at(pc);
-    if (taps) {
-      e_.note_pre_insn(insn_agent, pc, d.raw);
-    }
-    const sim::SimTime cost_before = cost;
-    if (d.cls != OpClass::kUndefined && d.cls != OpClass::kTruncated) {
-      agent.set_pc(static_cast<std::uint16_t>(pc + d.length));
-      e_.stats_.instructions++;
-    }
-    result = (this->*kHandlers[static_cast<std::size_t>(d.cls)])(agent, d,
-                                                                 cost);
-    OpcodeProfile& entry = e_.profile_[d.profile_key];
-    entry.count++;
-    entry.total_cost += cost - cost_before;
-    if (taps && result != StepResult::kGone) {
-      e_.note_post_insn(insn_agent, pc, d.raw);
-    }
-    if (result != StepResult::kContinue || ++executed >= per_slice) {
-      return;
-    }
-  }
-#endif
 }
+#endif  // AGILLA_COMPUTED_GOTO
 
 VmDispatcher::StepResult VmDispatcher::execute(Agent& agent,
                                                const DecodedInsn& d,
@@ -1007,26 +963,48 @@ VmDispatcher::StepResult VmDispatcher::h_truncated(Agent& agent,
 // Composite instruction groups
 // --------------------------------------------------------------------------
 
-bool VmDispatcher::pop_fields(Agent& agent, std::vector<ts::Value>* out) {
+std::optional<std::size_t> VmDispatcher::pop_field_count(Agent& agent) {
   const ts::Value count_value = agent.pop();
   const std::int16_t count = count_value.as_number();
   if (!count_value.valid() || count < 0 ||
       count > static_cast<std::int16_t>(Agent::kStackDepth)) {
     e_.die(agent, "bad field count for tuple operation");
-    return false;
+    return std::nullopt;
   }
-  std::vector<ts::Value> reversed;
-  reversed.reserve(static_cast<std::size_t>(count));
-  for (std::int16_t i = 0; i < count; ++i) {
-    ts::Value v = agent.pop();
-    if (!v.valid()) {
-      e_.die(agent, "stack underflow building tuple");
+  const auto n = static_cast<std::size_t>(count);
+  // A missing entry and an invalid one (an unset heap slot pushed by
+  // getvar) are the same VM error.
+  if (n > agent.stack_depth() ||
+      std::ranges::any_of(agent.top(n),
+                          [](const ts::Value& v) { return !v.valid(); })) {
+    e_.die(agent, "stack underflow building tuple");
+    return std::nullopt;
+  }
+  return n;
+}
+
+template <typename Fields>
+bool VmDispatcher::move_fields(Agent& agent, std::size_t n, Fields& out) {
+  for (const ts::Value& f : agent.top(n)) {
+    if (!out.add(f)) {
       return false;
     }
-    reversed.push_back(std::move(v));
   }
-  // Popped last-pushed-first; restore push order (field 0 first).
-  out->assign(reversed.rbegin(), reversed.rend());
+  agent.drop(n);
+  return true;
+}
+
+template <typename Fields>
+bool VmDispatcher::pop_fields(Agent& agent, Fields& out,
+                              const char* rejected) {
+  const std::optional<std::size_t> n = pop_field_count(agent);
+  if (!n.has_value()) {
+    return false;
+  }
+  if (!move_fields(agent, *n, out)) {
+    e_.die(agent, rejected);
+    return false;
+  }
   return true;
 }
 
@@ -1060,16 +1038,9 @@ VmDispatcher::StepResult VmDispatcher::exec_tuple_op(Agent& agent, Opcode op,
 
   switch (op) {
     case Opcode::kOut: {
-      std::vector<ts::Value> fields;
-      if (!pop_fields(agent, &fields)) {
-        return StepResult::kGone;
-      }
       ts::Tuple tuple;
-      for (const ts::Value& f : fields) {
-        if (!tuple.add(f)) {
-          e_.die(agent, "field not storable in a tuple (out)");
-          return StepResult::kGone;
-        }
+      if (!pop_fields(agent, tuple, "field not storable in a tuple (out)")) {
+        return StepResult::kGone;
       }
       const bool ok = e_.tuple_space_.out(tuple);
       agent.set_condition(ok ? 1 : 0);
@@ -1081,16 +1052,9 @@ VmDispatcher::StepResult VmDispatcher::exec_tuple_op(Agent& agent, Opcode op,
     case Opcode::kIn:
     case Opcode::kRd:
     case Opcode::kTCount: {
-      std::vector<ts::Value> fields;
-      if (!pop_fields(agent, &fields)) {
-        return StepResult::kGone;
-      }
       ts::Template templ;
-      for (const ts::Value& f : fields) {
-        if (!templ.add(f)) {
-          e_.die(agent, "template too large");
-          return StepResult::kGone;
-        }
+      if (!pop_fields(agent, templ, "template too large")) {
+        return StepResult::kGone;
       }
       // Compile once; the probe (and any blocked re-probes) reuse it.
       ts::CompiledTemplate compiled(templ);
@@ -1136,20 +1100,19 @@ VmDispatcher::StepResult VmDispatcher::exec_tuple_op(Agent& agent, Opcode op,
         e_.die(agent, "stack underflow (regrxn handler)");
         return StepResult::kGone;
       }
-      std::vector<ts::Value> fields;
-      if (!pop_fields(agent, &fields)) {
-        return StepResult::kGone;
-      }
-      if (fields.size() > kMaxReactionTemplateFields) {
-        e_.die(agent, "reaction template exceeds 4 fields");
-        return StepResult::kGone;
-      }
+      // Up to four fields always fit the wire budget, so a rejected field
+      // means an oversized template too.
+      constexpr const char* kTooLarge = "reaction template exceeds 4 fields";
       ts::Reaction reaction;
+      if (!pop_fields(agent, reaction.templ, kTooLarge)) {
+        return StepResult::kGone;
+      }
+      if (reaction.templ.arity() > kMaxReactionTemplateFields) {
+        e_.die(agent, kTooLarge);
+        return StepResult::kGone;
+      }
       reaction.agent_id = agent.id().value;
       reaction.handler_pc = static_cast<std::uint16_t>(handler.as_number());
-      for (const ts::Value& f : fields) {
-        reaction.templ.add(f);
-      }
       const bool ok = e_.tuple_space_.register_reaction(std::move(reaction));
       agent.set_condition(ok ? 1 : 0);
       cost += e_.options_.costs.instruction_cost(
@@ -1157,14 +1120,16 @@ VmDispatcher::StepResult VmDispatcher::exec_tuple_op(Agent& agent, Opcode op,
       return StepResult::kContinue;
     }
     case Opcode::kDeregRxn: {
-      std::vector<ts::Value> fields;
-      if (!pop_fields(agent, &fields)) {
+      const std::optional<std::size_t> n = pop_field_count(agent);
+      if (!n.has_value()) {
         return StepResult::kGone;
       }
+      // Fields past the wire budget are skipped, not fatal.
       ts::Template templ;
-      for (const ts::Value& f : fields) {
+      for (const ts::Value& f : agent.top(*n)) {
         templ.add(f);
       }
+      agent.drop(*n);
       const bool ok =
           e_.tuple_space_.deregister_reaction(agent.id().value, templ);
       agent.set_condition(ok ? 1 : 0);
@@ -1266,8 +1231,8 @@ VmDispatcher::StepResult VmDispatcher::exec_remote(Agent& agent, Opcode op) {
     return StepResult::kGone;
   }
   const sim::Location dest = dest_value.as_location();
-  std::vector<ts::Value> fields;
-  if (!pop_fields(agent, &fields)) {
+  const std::optional<std::size_t> n = pop_field_count(agent);
+  if (!n.has_value()) {
     return StepResult::kGone;
   }
 
@@ -1296,20 +1261,16 @@ VmDispatcher::StepResult VmDispatcher::exec_remote(Agent& agent, Opcode op) {
 
   if (op == Opcode::kROut) {
     ts::Tuple tuple;
-    for (const ts::Value& f : fields) {
-      if (!tuple.add(f)) {
-        e_.die(agent, "field not storable in a tuple (rout)");
-        return StepResult::kGone;
-      }
+    if (!move_fields(agent, *n, tuple)) {
+      e_.die(agent, "field not storable in a tuple (rout)");
+      return StepResult::kGone;
     }
     e_.remote_ts_.request_out(dest, tuple, std::move(completion));
   } else {
     ts::Template templ;
-    for (const ts::Value& f : fields) {
-      if (!templ.add(f)) {
-        e_.die(agent, "template too large (remote probe)");
-        return StepResult::kGone;
-      }
+    if (!move_fields(agent, *n, templ)) {
+      e_.die(agent, "template too large (remote probe)");
+      return StepResult::kGone;
     }
     e_.remote_ts_.request_probe(
         op == Opcode::kRInp ? RemoteOp::kInp : RemoteOp::kRdp, dest, templ,

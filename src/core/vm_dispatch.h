@@ -14,6 +14,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -128,7 +129,8 @@ class DecodedProgram {
 ///   - run_slice_switch: fetches byte-by-byte through the CodePool chain
 ///     and dispatches through a switch — the reference interpreter.
 ///   - run_slice_threaded: walks the DecodedProgram with computed-goto
-///     labels-as-values (GCC/Clang) or a handler-pointer table fallback.
+///     labels-as-values (GCC/Clang; other compilers run every slice on
+///     the switch).
 /// Both produce byte-identical simulated behaviour; only host speed
 /// differs.
 class VmDispatcher {
@@ -226,7 +228,19 @@ class VmDispatcher {
   StepResult exec_tuple_op(Agent& agent, Opcode op, sim::SimTime& cost);
   StepResult exec_migration(Agent& agent, Opcode op);
   StepResult exec_remote(Agent& agent, Opcode op);
-  bool pop_fields(Agent& agent, std::vector<ts::Value>* out);
+  /// Pops a tuple operation's field count and checks that many valid
+  /// fields sit below it; the count, or nullopt once the agent died.
+  std::optional<std::size_t> pop_field_count(Agent& agent);
+  /// Adds the top `n` stack entries to `out` (a ts::Tuple or
+  /// ts::Template) in push order — field 0 is the deepest — and drops
+  /// them. False, stack untouched, when `out` rejects a field.
+  template <typename Fields>
+  bool move_fields(Agent& agent, std::size_t n, Fields& out);
+  /// pop_field_count + move_fields straight into the inline `out`, with
+  /// no intermediate copy; a rejected field kills the agent with VM error
+  /// `rejected`.
+  template <typename Fields>
+  bool pop_fields(Agent& agent, Fields& out, const char* rejected);
   AgentImage make_image(Agent& agent, MigrationOp op, sim::Location dest);
   bool push_or_die(Agent& agent, const ts::Value& v);
 
@@ -236,6 +250,12 @@ class VmDispatcher {
   /// Fetch + decode at the agent's PC through the CodePool chain. Returns
   /// false when the PC is out of range (the agent died; not profiled).
   bool fetch_decode(Agent& agent, DecodedInsn* out);
+
+  /// The per-instruction epilogue behind the hoisted taps branch: the
+  /// opt-in opcode profile and the post tap. `insn_cost` is the simulated
+  /// cost the instruction charged.
+  void after_insn(AgentId id, std::uint16_t pc, const DecodedInsn& d,
+                  StepResult result, sim::SimTime insn_cost);
 
   void run_slice_switch(Agent& agent, sim::SimTime& cost);
   void run_slice_threaded(Agent& agent, const DecodedProgram& program,

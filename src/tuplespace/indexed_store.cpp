@@ -1,6 +1,5 @@
 #include "tuplespace/indexed_store.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace agilla::ts {
@@ -18,10 +17,7 @@ bool IndexedTupleStore::insert(const Tuple& tuple) {
     return false;
   }
   Entry entry;
-  net::Writer w;
-  tuple.encode(w);
-  assert(w.size() == size && size <= entry.wire.size());
-  std::copy(w.data().begin(), w.data().end(), entry.wire.begin());
+  tuple.encode(entry.wire.data());  // size <= kMaxTupleWireBytes, checked
   entry.wire_len = static_cast<std::uint8_t>(size);
   entry.fp = fingerprint_of(tuple);
   entry.live = true;

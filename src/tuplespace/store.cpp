@@ -1,6 +1,5 @@
 #include "tuplespace/store.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -21,15 +20,14 @@ bool LinearTupleStore::insert(const Tuple& tuple) {
   if (used_ + 1 + size > buffer_.size()) {
     return false;
   }
-  net::Writer w;
-  w.u8(static_cast<std::uint8_t>(size));
-  tuple.encode(w);
-  std::copy(w.data().begin(), w.data().end(),
-            buffer_.begin() + static_cast<std::ptrdiff_t>(used_));
-  used_ += w.size();
-  records_.push_back(RecordMeta{fingerprint_of(tuple),
-                                static_cast<std::uint8_t>(w.size())});
-  last_op_bytes_ = w.size();
+  // Encoded in place: [len u8][tuple bytes] straight into the buffer.
+  const std::size_t record = 1 + size;
+  buffer_[used_] = static_cast<std::uint8_t>(size);
+  tuple.encode(buffer_.data() + used_ + 1);
+  used_ += record;
+  records_.push_back(
+      RecordMeta{fingerprint_of(tuple), static_cast<std::uint8_t>(record)});
+  last_op_bytes_ = record;
   return true;
 }
 

@@ -76,6 +76,15 @@ void Tuple::encode(net::Writer& w) const {
   detail::encode_fields(w, fields());
 }
 
+std::size_t Tuple::encode(std::uint8_t* out) const {
+  out[0] = count_;
+  std::size_t n = 1;
+  for (const Value& f : fields()) {
+    n += f.encode_compact(out + n);
+  }
+  return n;
+}
+
 std::optional<Tuple> Tuple::decode(net::Reader& r) {
   Tuple t;
   if (!detail::decode_fields(r, t.fields_, t.count_)) {

@@ -64,6 +64,9 @@ class Tuple {
   [[nodiscard]] std::size_t wire_size() const;
 
   void encode(net::Writer& w) const;
+  /// Writes the wire_size() encoded bytes to `out` without allocating
+  /// (the tuple stores' insert path); returns wire_size().
+  std::size_t encode(std::uint8_t* out) const;
   static std::optional<Tuple> decode(net::Reader& r);
 
   [[nodiscard]] std::string to_string() const;

@@ -1,10 +1,10 @@
 // Zero-copy tuple matching (the Sec. 3.2 "efficient tuple space
 // implementations" future work): templates are compiled once into an
-// integer fingerprint filter, and candidates are matched directly against
-// their wire bytes through a bounds-checked lazy cursor. Scanning a store
-// never heap-allocates; a Tuple is materialized only for an actual hit —
-// and materializing is itself allocation-free (tuples store their fields
-// inline, see tuple.h).
+// integer fingerprint filter plus a byte-level program, and candidates are
+// matched directly against their wire bytes with bounds checks. Scanning a
+// store never heap-allocates; a Tuple is materialized only for an actual
+// hit — and materializing is itself allocation-free (tuples store their
+// fields inline, see tuple.h).
 //
 // Three pieces:
 //  * Fingerprint      — a 64-bit summary of a stored tuple (arity, per-field
@@ -13,8 +13,10 @@
 //  * TupleRef         — a non-owning view of one encoded tuple record;
 //  * CompiledTemplate — a template pre-lowered to (mask, want) over the
 //                       fingerprint, so most candidates are rejected with a
-//                       single integer compare and the rest are matched
-//                       field-by-field straight off the wire.
+//                       single integer compare, plus the compact encoding
+//                       of its concrete fields, so the rest are matched by
+//                       comparing record bytes — no field is decoded
+//                       except against a reading-type template field.
 //
 // Equivalence contract (enforced by test_fuzz.cpp): for ANY byte string b
 // and template t,
@@ -22,6 +24,7 @@
 //  == (Tuple::decode(b) succeeds && t.matches(*Tuple::decode(b))).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -70,10 +73,11 @@ class TupleRef {
   std::span<const std::uint8_t> bytes_;
 };
 
-/// A Template lowered for repeated matching: the fields plus a
-/// (mask, want) pair over Fingerprint so stores reject most candidates
-/// with one integer compare. Compile once per operation, match many
-/// candidates.
+/// A Template lowered for repeated matching: the fields, a (mask, want)
+/// pair over Fingerprint so stores reject most candidates with one
+/// integer compare, and byte-level steps (the precompiled compact
+/// encoding of the concrete fields) for the survivors. Compile once per
+/// operation, match many candidates.
 class CompiledTemplate {
  public:
   CompiledTemplate() = default;
@@ -92,8 +96,9 @@ class CompiledTemplate {
     return (fp & mask_) != want_;
   }
 
-  /// Matches directly against wire bytes via a lazy field cursor; never
-  /// allocates and never reads past `ref.bytes()`.
+  /// Matches directly against wire bytes by comparing them with the
+  /// precompiled encoding; never allocates and never reads past
+  /// `ref.bytes()`.
   [[nodiscard]] bool matches(TupleRef ref) const;
 
   /// Matches an already-decoded tuple (reaction dispatch path).
@@ -102,9 +107,30 @@ class CompiledTemplate {
   }
 
  private:
+  /// How one stretch of the record is checked (see the constructor).
+  enum class StepKind : std::uint8_t {
+    kBytes,     ///< `len` record bytes equal the next `len` of bytes_
+    kTypeByte,  ///< a field whose decoded type is `arg`; `len` bytes long
+    kDecode,    ///< decode one field and apply template field `arg`
+  };
+  struct Step {
+    StepKind kind = StepKind::kBytes;
+    std::uint8_t len = 0;
+    std::uint8_t arg = 0;
+  };
+
   Template templ_;
   Fingerprint mask_ = 0;
   Fingerprint want_ = 0;
+  /// Count byte, then the compact encoding of every byte-compared field.
+  /// Sized for a hostile decoded template (kMaxTupleFields locations),
+  /// which Template::decode admits past the 25-byte budget.
+  std::array<std::uint8_t, 1 + kMaxTupleFields * Value::kMaxCompactSize>
+      bytes_{};
+  /// One step per field at most, plus the count byte; adjacent
+  /// byte-compared stretches are merged into one step.
+  std::array<Step, kMaxTupleFields + 1> steps_{};
+  std::uint8_t step_count_ = 0;
 };
 
 }  // namespace agilla::ts

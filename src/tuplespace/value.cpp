@@ -173,27 +173,37 @@ std::size_t Value::compact_size() const {
   }
 }
 
-void Value::encode_compact(net::Writer& w) const {
-  w.u8(static_cast<std::uint8_t>(type_));
+std::size_t Value::encode_compact(std::uint8_t* out) const {
+  // Little-endian, as net::Writer::u16 writes it.
+  auto put16 = [](std::uint8_t* p, std::int16_t v) {
+    p[0] = static_cast<std::uint8_t>(static_cast<std::uint16_t>(v) & 0xFF);
+    p[1] = static_cast<std::uint8_t>(static_cast<std::uint16_t>(v) >> 8);
+  };
+  out[0] = static_cast<std::uint8_t>(type_);
   switch (type_) {
     case ValueType::kInvalid:
-      break;
+      return 1;
     case ValueType::kLocation:
-      w.i16(a_);
-      w.i16(b_);
-      break;
+      put16(out + 1, a_);
+      put16(out + 3, b_);
+      return 5;
     case ValueType::kReading:
-      w.u8(static_cast<std::uint8_t>(b_));
-      w.i16(a_);
-      break;
+      out[1] = static_cast<std::uint8_t>(b_);
+      put16(out + 2, a_);
+      return 4;
     case ValueType::kReadingType:
     case ValueType::kTypeWildcard:
-      w.u8(static_cast<std::uint8_t>(a_));
-      break;
+      out[1] = static_cast<std::uint8_t>(a_);
+      return 2;
     default:
-      w.i16(a_);
-      break;
+      put16(out + 1, a_);
+      return 3;
   }
+}
+
+void Value::encode_compact(net::Writer& w) const {
+  std::array<std::uint8_t, kMaxCompactSize> buf{};
+  w.bytes({buf.data(), encode_compact(buf.data())});
 }
 
 Value Value::decode_compact(net::Reader& r) {

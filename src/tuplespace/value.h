@@ -82,7 +82,14 @@ class Value {
   /// True for field types that can appear in a stored tuple.
   [[nodiscard]] bool concrete() const;
 
+  /// Largest compact encoding: a location (type + x + y).
+  static constexpr std::size_t kMaxCompactSize = 5;
+
   [[nodiscard]] std::size_t compact_size() const;  // includes type byte
+  /// Writes the compact encoding to `out`, which has room for
+  /// compact_size() bytes, and returns that size. The one compact
+  /// encoder: the Writer overload and the tuple stores build on it.
+  std::size_t encode_compact(std::uint8_t* out) const;
   void encode_compact(net::Writer& w) const;
   static Value decode_compact(net::Reader& r);
 

@@ -246,6 +246,50 @@ TEST(DispatchEquivalence, BatchSizeDoesNotChangeOutcomes) {
   EXPECT_EQ(batch1, run_with_batch(64));
 }
 
+/// The opcode profile of one mote after a blocked `in` that a later `out`
+/// wakes (the re-probe path) and the hand-written programs, rendered to
+/// text in opcode order; empty when nothing was profiled.
+std::string opcode_profile_text(core::DispatchMode mode, bool profiling) {
+  MeshOptions options;
+  options.width = 1;
+  options.height = 1;
+  options.seed = 7;
+  options.config.engine.dispatch = mode;
+  AgillaMesh mesh(options);
+  mesh.at(0).engine().set_opcode_profiling(profiling);
+  mesh.warm();
+  mesh.at(0).inject(core::assemble_or_die("pushn blk\npushc 1\nin\nhalt\n"));
+  mesh.at(0).inject(core::assemble_or_die(
+      "pushc 4\nsleep\npushn blk\npushc 1\nout\nhalt\n"));
+  // Then as many hand-written programs as the mote admits at a time.
+  for (const char* source : kPrograms) {
+    mesh.at(0).inject(core::assemble_or_die(source));
+    mesh.sim.run_for(5 * sim::kSecond);
+  }
+  const auto profile = mesh.at(0).engine().opcode_profile();
+  std::ostringstream out;
+  for (int raw = 0; raw < 256; ++raw) {
+    if (const auto it = profile.find(static_cast<std::uint8_t>(raw));
+        it != profile.end()) {
+      out << core::opcode_name(static_cast<std::uint8_t>(raw)) << " x"
+          << it->second.count << " " << it->second.total_cost << "us\n";
+    }
+  }
+  return out.str();
+}
+
+TEST(DispatchEquivalence, OpcodeProfileIsOptInAndModeIndependent) {
+  // Off by default: the dispatch loops skip the profile entirely.
+  EXPECT_EQ(opcode_profile_text(core::DispatchMode::kSwitch, false), "");
+  EXPECT_EQ(opcode_profile_text(core::DispatchMode::kThreaded, false), "");
+  // On: both dispatch modes count and charge every opcode identically.
+  const std::string sw = opcode_profile_text(core::DispatchMode::kSwitch, true);
+  EXPECT_EQ(sw, opcode_profile_text(core::DispatchMode::kThreaded, true));
+  // Three `in`s: the blocked one's first probe and its re-probe, and the
+  // one in the second hand-written program.
+  EXPECT_NE(sw.find("\nin x3 "), std::string::npos) << sw;
+}
+
 // ---------------------------------------------------------------- harness
 
 /// The runner echoes every spec param into the JSON; the vm_dispatch line

@@ -25,6 +25,27 @@ std::vector<std::uint8_t> random_bytes(sim::Rng& rng, std::size_t max_len) {
   return out;
 }
 
+/// The tuple_match.h equivalence contract for one record: for every
+/// template, the zero-copy byte match must equal eager
+/// decode-then-match, and (under ASan) must never read outside `bytes`.
+void expect_byte_match_agrees(
+    const std::vector<ts::Template>& templates,
+    const std::vector<ts::CompiledTemplate>& compiled,
+    const std::vector<std::uint8_t>& bytes) {
+  // Exact-sized heap span: ASan catches any out-of-bounds read.
+  const ts::TupleRef ref{std::span<const std::uint8_t>(bytes)};
+  net::Reader r(bytes);
+  const auto eager = ts::Tuple::decode(r);
+  ASSERT_EQ(ref.encoded_size().has_value(), eager.has_value());
+  ASSERT_EQ(ref.materialize(), eager);
+  for (std::size_t i = 0; i < templates.size(); ++i) {
+    const bool expected = eager.has_value() && templates[i].matches(*eager);
+    ASSERT_EQ(compiled[i].matches(ref), expected)
+        << templates[i].to_string() << " over "
+        << (eager ? eager->to_string() : "<malformed>");
+  }
+}
+
 class ParserFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ParserFuzz, TupleAndTemplateDecodeNeverCrash) {
@@ -188,19 +209,7 @@ TEST_P(ParserFuzz, TupleRefMatchingAgreesWithEagerDecodeAndMatch) {
                                              templates.end());
 
   auto check_all = [&](const std::vector<std::uint8_t>& bytes) {
-    // Exact-sized heap span: ASan catches any out-of-bounds read.
-    const ts::TupleRef ref{std::span<const std::uint8_t>(bytes)};
-    net::Reader r(bytes);
-    const auto eager = ts::Tuple::decode(r);
-    ASSERT_EQ(ref.encoded_size().has_value(), eager.has_value());
-    ASSERT_EQ(ref.materialize(), eager);
-    for (std::size_t i = 0; i < templates.size(); ++i) {
-      const bool expected =
-          eager.has_value() && templates[i].matches(*eager);
-      ASSERT_EQ(compiled[i].matches(ref), expected)
-          << templates[i].to_string() << " over "
-          << (eager ? eager->to_string() : "<malformed>");
-    }
+    expect_byte_match_agrees(templates, compiled, bytes);
   };
 
   for (int round = 0; round < 400; ++round) {
@@ -227,6 +236,144 @@ TEST_P(ParserFuzz, TupleRefMatchingAgreesWithEagerDecodeAndMatch) {
         static_cast<std::uint8_t>(1 + rng.uniform(255));
     check_all(mutated);
   }
+}
+
+TEST_P(ParserFuzz, ByteMatcherAgreesOverEveryValueType) {
+  // The same contract over values of every ValueType, drawn from a small
+  // domain so that byte-compared fields often match. The corpus covers
+  // type wildcards over every type byte (unknown ones included), reading
+  // types against readings, values no decoded field can equal (padded
+  // decodes with out-of-range payloads or unknown types), templates
+  // decoded from the wire (invalid fields, past the 25-byte budget), and
+  // records holding any type byte, truncated or mutated.
+  sim::Rng rng(GetParam() + 11);
+  auto small = [&rng]() -> std::int16_t {
+    constexpr std::int16_t kDomain[] = {0, 1, 2, 44, 300, -1};
+    return kDomain[rng.uniform(std::size(kDomain))];
+  };
+  auto sensor = [&rng]() {
+    return static_cast<sim::SensorType>(rng.uniform(3));
+  };
+  auto type_byte = [&rng]() {
+    constexpr std::uint8_t kTypes[] = {0, 1, 2, 3, 4, 5, 6, 7, 9, 200};
+    return kTypes[rng.uniform(std::size(kTypes))];
+  };
+  // Padded decode: any type byte with any payload, as a migrated stack or
+  // heap slot can carry — including values whose compact encoding drops
+  // part of the payload.
+  auto padded = [&](std::uint8_t type) {
+    net::Writer w;
+    w.u8(type);
+    w.i16(small());
+    w.i16(rng.uniform(3) == 0 ? 0 : small());
+    w.zeros(1);
+    net::Reader r(w.data());
+    return ts::Value::decode_padded(r);
+  };
+  auto any_value = [&]() -> ts::Value {
+    switch (rng.uniform(9)) {
+      case 0:
+        return ts::Value::number(small());
+      case 1:
+        return ts::Value::packed_string(static_cast<std::uint16_t>(small()));
+      case 2:
+        return ts::Value::location({static_cast<double>(rng.uniform(3)),
+                                    static_cast<double>(rng.uniform(3))});
+      case 3:
+        return ts::Value::reading(sensor(), small());
+      case 4:
+        return ts::Value::agent_id(static_cast<std::uint16_t>(small()));
+      case 5:
+        return ts::Value::reading_type(sensor());
+      case 6:
+        return ts::Value::type_wildcard(static_cast<ts::ValueType>(type_byte()));
+      case 7:
+        return padded(type_byte());
+      default:
+        return ts::Value{};
+    }
+  };
+  auto encode_raw = [&](std::size_t arity) {
+    net::Writer w;
+    w.u8(static_cast<std::uint8_t>(arity));
+    for (std::size_t f = 0; f < arity; ++f) {
+      any_value().encode_compact(w);
+    }
+    return w.take();
+  };
+
+  std::vector<ts::Template> templates;
+  for (int i = 0; i < 48; ++i) {
+    const std::size_t arity = rng.uniform(5);
+    if (i % 4 == 3) {
+      net::Writer w;
+      w.u8(static_cast<std::uint8_t>(arity));
+      for (std::size_t f = 0; f < arity; ++f) {
+        any_value().encode_compact(w);
+      }
+      net::Reader r(w.data());
+      if (auto decoded = ts::Template::decode(r)) {
+        templates.push_back(*decoded);
+        continue;
+      }
+    }
+    ts::Template t;
+    for (std::size_t f = 0; f < arity; ++f) {
+      // add() drops invalid and oversized fields.
+      t.add(rng.uniform(3) == 0 ? padded(type_byte()) : any_value());
+    }
+    templates.push_back(t);
+  }
+  // Templates decoded past the wire budget: twelve locations.
+  {
+    net::Writer w;
+    w.u8(static_cast<std::uint8_t>(ts::kMaxTupleFields));
+    for (std::size_t f = 0; f < ts::kMaxTupleFields; ++f) {
+      ts::Value::location({1, 1}).encode_compact(w);
+    }
+    net::Reader r(w.data());
+    templates.push_back(*ts::Template::decode(r));
+  }
+  const std::vector<ts::CompiledTemplate> compiled(templates.begin(),
+                                                   templates.end());
+  auto check = [&](const std::vector<std::uint8_t>& bytes) {
+    expect_byte_match_agrees(templates, compiled, bytes);
+  };
+
+  std::size_t matched = 0;
+  for (int round = 0; round < 600; ++round) {
+    // A record built like a stored tuple, and one from raw encodings of
+    // any type (wildcards, invalid and unknown type bytes included).
+    ts::Tuple tuple;
+    const std::size_t arity = rng.uniform(5);
+    for (std::size_t f = 0; f < arity; ++f) {
+      tuple.add(any_value());
+    }
+    net::Writer w;
+    tuple.encode(w);
+    for (const std::vector<std::uint8_t>& encoded :
+         {w.take(), encode_raw(rng.uniform(5))}) {
+      check(encoded);
+      for (const ts::CompiledTemplate& c : compiled) {
+        matched += c.matches(ts::TupleRef(encoded)) ? 1 : 0;
+      }
+      if (encoded.empty()) {
+        continue;
+      }
+      check({encoded.begin(),
+             encoded.begin() +
+                 static_cast<std::ptrdiff_t>(rng.uniform(encoded.size()))});
+      std::vector<std::uint8_t> mutated = encoded;
+      mutated[rng.uniform(mutated.size())] ^=
+          static_cast<std::uint8_t>(1 + rng.uniform(255));
+      check(mutated);
+      std::vector<std::uint8_t> longer = encoded;  // trailing bytes
+      longer.push_back(static_cast<std::uint8_t>(rng.uniform(256)));
+      check(longer);
+    }
+  }
+  // The corpus must exercise the match path, not only rejections.
+  EXPECT_GT(matched, 100u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParserFuzz, ::testing::Values(101, 202, 303));

@@ -253,5 +253,42 @@ TEST(RemoteTs, LatencyIsTensOfMilliseconds) {
   EXPECT_LT(elapsed, 120 * sim::kMillisecond);
 }
 
+TEST(RemoteTs, RequestIdsStayUniqueWithEveryIdPending) {
+  // Request ids are 16 bits. With more requests outstanding than ids, no
+  // pending request may be overwritten: each completion fires exactly
+  // once, and the requests past the last free id fail at once, unsent.
+  AgillaMesh mesh(MeshOptions{.width = 2, .height = 1, .start = false});
+  RemoteTsManager& remote = mesh.at(0).remote_ts();
+  constexpr std::size_t kIds = 65536;
+  constexpr std::size_t kExtra = 1000;
+  std::vector<int> fired(kIds + kExtra, 0);
+  const ts::Tuple tuple{ts::Value::number(1)};
+  for (std::size_t i = 0; i < fired.size(); ++i) {
+    // Unstarted nodes know no neighbours: nothing is ever delivered.
+    remote.request_out({2, 1}, tuple,
+                       [&fired, i](bool, std::optional<ts::Tuple>) {
+                         fired[i]++;
+                       });
+  }
+  EXPECT_EQ(remote.stats().requests_sent, kIds);
+  EXPECT_EQ(remote.stats().ids_exhausted, kExtra);
+  mesh.sim.run_for(sim::kMillisecond);
+  for (std::size_t i = 0; i < fired.size(); ++i) {
+    ASSERT_EQ(fired[i], i < kIds ? 0 : 1) << "request " << i;
+  }
+  mesh.sim.run_for(10 * sim::kSecond);  // past 3 x the 2 s reply timeout
+  for (std::size_t i = 0; i < fired.size(); ++i) {
+    ASSERT_EQ(fired[i], 1) << "request " << i;
+  }
+  EXPECT_EQ(remote.stats().timeouts, kIds);
+  // The timed-out ids are free again.
+  int late = 0;
+  remote.request_out({2, 1}, tuple,
+                     [&late](bool, std::optional<ts::Tuple>) { ++late; });
+  EXPECT_EQ(remote.stats().requests_sent, kIds + 1);
+  mesh.sim.run_for(10 * sim::kSecond);
+  EXPECT_EQ(late, 1);
+}
+
 }  // namespace
 }  // namespace agilla::core

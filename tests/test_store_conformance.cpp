@@ -70,6 +70,83 @@ TEST(StoreConformance, ScriptedSequenceAgreesAcrossBackends) {
                 Value::type_wildcard(ValueType::kNumber)})));
 }
 
+/// last_op_bytes_touched() after each step of a script over every
+/// concrete field type: inserts, hit and miss probes through exact,
+/// type-wildcard and reading-type templates, takes from the front, middle
+/// and back, and counts.
+std::vector<std::size_t> scripted_bytes_touched(StoreKind kind) {
+  const auto store = make_store(kind, 600);
+  std::vector<std::size_t> trace;
+  const auto note = [&] { trace.push_back(store->last_op_bytes_touched()); };
+  const auto temp = sim::SensorType::kTemperature;
+  const Tuple tuples[] = {
+      keyed("fil", 1),
+      Tuple{Value::number(7)},
+      Tuple{Value::location({2, 3}), Value::agent_id(9)},
+      Tuple{Value::reading(temp, 21), Value::string("tmp")},
+      Tuple{Value::reading_type(temp), Value::number(-4)},
+      keyed("fil", 2),
+      Tuple{Value::string("big"), Value::location({1, 1}),
+            Value::location({4, 4}), Value::reading(temp, 5),
+            Value::number(3)},
+      keyed("key", 3),
+  };
+  for (const Tuple& t : tuples) {
+    store->insert(t);
+    note();
+  }
+  const auto num = Value::type_wildcard(ValueType::kNumber);
+  const CompiledTemplate probes[] = {
+      Template{Value::string("fil"), num},                // hit, first
+      Template{Value::string("key"), Value::number(3)},   // hit, last
+      Template{Value::string("mis"), num},                // miss
+      Template{Value::reading_type(temp), Value::string("tmp")},
+      Template{Value::reading_type(temp), num},           // reading type
+      Template{Value::type_wildcard(ValueType::kLocation),
+               Value::agent_id(9)},
+      Template{num},
+      Template{Value::string("big"),
+               Value::type_wildcard(ValueType::kLocation),
+               Value::location({4, 4}), Value::reading(temp, 5), num},
+  };
+  for (const CompiledTemplate& p : probes) {
+    (void)store->read(p);
+    note();
+    (void)store->count_matching(p);
+    note();
+  }
+  for (const CompiledTemplate& p : probes) {
+    (void)store->take(p);
+    note();
+  }
+  store->insert(keyed("new", 1));
+  note();
+  (void)store->take(probes[0]);
+  note();
+  return trace;
+}
+
+TEST(StoreConformance, BytesTouchedArePinned) {
+  // The VmCostModel charge of every tuple op derives from these values,
+  // so no change to how the stores encode or match may move them.
+  // Rows: the eight inserts; read then count for each probe; a take for
+  // each probe; the refill insert and its take.
+  const std::vector<std::size_t> linear = {
+      8,  5,  10, 9,  7,  8,  22, 8,   //
+      8,  77, 77, 77, 77, 77, 32, 77,  //
+      39, 77, 23, 77, 13, 77, 69, 77,  //
+      77, 69, 61, 61, 52, 45, 35, 30,  //
+      8,  16};
+  const std::vector<std::size_t> indexed = {
+      8,  5,  10, 9,  7,  8,  22, 8,   //
+      8,  50, 50, 50, 50, 50, 27, 50,  //
+      34, 50, 18, 50, 5,  5,  22, 22,  //
+      8,  42, 34, 19, 17, 10, 5,  22,  //
+      8,  8};
+  EXPECT_EQ(scripted_bytes_touched(StoreKind::kLinear), linear);
+  EXPECT_EQ(scripted_bytes_touched(StoreKind::kIndexed), indexed);
+}
+
 TEST(StoreConformance, InsertChargesRecordBytesWritten) {
   const Tuple t = keyed("fil", 1);
   for (const StoreKind kind : {StoreKind::kLinear, StoreKind::kIndexed}) {
