@@ -46,7 +46,7 @@ harness::ExperimentSpec latency_spec(int trials, double loss,
   spec.scenario = "rout";
   spec.grids = {{5, 5}};
   spec.loss_rates = {loss};
-  spec.per_byte_loss = kExperimentPerByteLoss;
+  spec.per_byte_loss = api::kDefaultPerByteLoss;
   spec.axes = {{"duty_cycle", {std::begin(kDutyCycles),
                                std::end(kDutyCycles)}}};
   spec.trials = trials;

@@ -23,7 +23,7 @@ sim::Location hop_target(int hops) {
                    : sim::Location{5.0, 1.0 + (hops - 4)};
 }
 
-bool end_to_end_trial(Testbed& bed, int hops, std::int16_t trial_id) {
+bool end_to_end_trial(api::Deployment& bed, int hops, std::int16_t trial_id) {
   auto& src = bed.mote(0);
   const sim::Location target = hop_target(hops);
   auto& dst = bed.mote_at(target.x, target.y);
@@ -51,7 +51,7 @@ bool end_to_end_trial(Testbed& bed, int hops, std::int16_t trial_id) {
 }
 
 /// Normal Agilla hop-by-hop migration of the same agent.
-bool hop_by_hop_trial(Testbed& bed, int hops, std::int16_t trial_id) {
+bool hop_by_hop_trial(api::Deployment& bed, int hops, std::int16_t trial_id) {
   const sim::Location target = hop_target(hops);
   char source[200];
   std::snprintf(source, sizeof(source),
@@ -68,7 +68,7 @@ bool hop_by_hop_trial(Testbed& bed, int hops, std::int16_t trial_id) {
 
 /// Wires an end-to-end reassembly handler onto every mote's geo router.
 void install_e2e_receivers(
-    Testbed& bed,
+    api::Deployment& bed,
     std::unordered_map<std::uint16_t, core::ImageAssembler>& assemblers) {
   const sim::AmType kinds[] = {
       sim::AmType::kAgentState, sim::AmType::kAgentCode,
@@ -119,7 +119,7 @@ int main(int argc, char** argv) {
       sim::TrialCounter hbh;
       sim::TrialCounter e2e;
       {
-        Testbed bed(args.seed + hops, loss);
+        api::Deployment bed({.packet_loss = loss, .seed = args.seed + hops});
         for (int t = 0; t < args.trials; ++t) {
           hbh.record(hop_by_hop_trial(
               bed, hops, static_cast<std::int16_t>(t + 1)));
@@ -127,7 +127,8 @@ int main(int argc, char** argv) {
         }
       }
       {
-        Testbed bed(args.seed + 31 + hops, loss);
+        api::Deployment bed({.packet_loss = loss,
+                             .seed = args.seed + 31 + hops});
         std::unordered_map<std::uint16_t, core::ImageAssembler> assemblers;
         install_e2e_receivers(bed, assemblers);
         for (int t = 0; t < args.trials; ++t) {

@@ -25,8 +25,10 @@ int main(int argc, char** argv) {
     config.link.max_retries = retries;
     sim::TrialCounter counter;
     sim::Summary latency;
-    Testbed bed(args.seed + static_cast<std::uint64_t>(retries), loss,
-                config);
+    api::Deployment bed({.packet_loss = loss,
+                         .seed = args.seed + retries,
+                         .store = config.tuple_space.store_kind,
+                         .config = config});
     for (int t = 0; t < args.trials; ++t) {
       char source[200];
       std::snprintf(source, sizeof(source),

@@ -1,47 +1,18 @@
-// Shared infrastructure for the paper-reproduction benches, built on the
-// src/harness experiment subsystem: the 5x5 experimental testbed of paper
-// Fig. 3 (a harness::Mesh with the paper's channel calibration), and
-// table/ASCII-plot printing.
+// Shared infrastructure for the paper-reproduction benches: experiment
+// headers, table/ASCII-plot printing and argument parsing. The testbed
+// itself is a plain api::Deployment, whose defaults are the 5x5 grid of
+// paper Fig. 3 with the paper's channel calibration.
 #pragma once
 
 #include <cstdio>
 #include <string>
 
+#include "api/deployment.h"
 #include "core/agent_library.h"
 #include "core/assembler.h"
-#include "harness/mesh.h"
 #include "sim/stats.h"
 
 namespace agilla::bench {
-
-/// Channel parameters for the reliability/latency experiments: loss has a
-/// per-packet floor plus a per-byte component (longer frames fade more),
-/// calibrated so the Fig. 9 anchors land near the paper: smove ~90 % and
-/// rout ~80-88 % at 5 hops (see DESIGN.md). A 37-byte data frame loses
-/// ~8 % of packets; a 10-byte ack ~3.6 %.
-inline constexpr double kExperimentLoss = harness::kDefaultLoss;
-inline constexpr double kExperimentPerByteLoss =
-    harness::kDefaultPerByteLoss;
-
-/// The paper's testbed: a 5x5 MICA2 grid, lower-left node at (1,1). A
-/// compatibility shim over harness::Mesh preserving the historical
-/// positional constructor used across the bench suite.
-class Testbed : public harness::Mesh {
- public:
-  explicit Testbed(std::uint64_t seed, double packet_loss = kExperimentLoss,
-                   core::AgillaConfig config = core::AgillaConfig(),
-                   std::size_t width = 5, std::size_t height = 5,
-                   double per_byte_loss = 0.0)
-      : harness::Mesh(harness::MeshOptions{
-            .width = width,
-            .height = height,
-            .packet_loss = packet_loss,
-            .per_byte_loss = per_byte_loss,
-            .seed = seed,
-            .store = config.tuple_space.store_kind,
-            .config = config,
-            .warmup = 5 * sim::kSecond}) {}
-};
 
 /// Prints "key = value"-style experiment headers uniformly.
 inline void print_header(const std::string& title,
@@ -69,7 +40,7 @@ inline void print_series_row(const std::string& label, double value,
 /// Parses "--trials N" / "--loss P" / "--threads N" style overrides.
 struct BenchArgs {
   int trials = 100;
-  double loss = kExperimentLoss;
+  double loss = api::kDefaultLoss;
   std::uint64_t seed = 1;
   unsigned threads = 0;  ///< harness workers; 0 = hardware concurrency
 

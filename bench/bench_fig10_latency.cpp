@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
                "Fok et al., Sec. 4, Fig. 10");
   std::printf("trials/point = %d, loss = %.0f %% + %.2f %%/byte (37 B data frame ~8 %%)\n\n",
               args.trials, args.loss * 100.0,
-              kExperimentPerByteLoss * 100.0);
+              api::kDefaultPerByteLoss * 100.0);
 
   const harness::RunnerOptions runner{.threads = args.threads};
   const harness::ExperimentResult smove = harness::run_experiment(

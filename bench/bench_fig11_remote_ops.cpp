@@ -15,7 +15,7 @@ namespace {
 
 /// Time one agent from injection to the appearance of its "end" marker on
 /// `observe`; returns latency in ms, or nullopt on failure/timeout.
-std::optional<double> run_once(Testbed& bed, const std::string& source,
+std::optional<double> run_once(api::Deployment& bed, const std::string& source,
                                core::AgillaMiddleware& observe,
                                std::int16_t trial_id) {
   const sim::SimTime start = bed.simulator().now();
@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
   const std::string migration_ops[] = {"smove", "wmove", "sclone", "wclone"};
 
   for (const std::string& op : remote_ops) {
-    Testbed bed(args.seed, /*packet_loss=*/0.0);
+    api::Deployment bed({.packet_loss = 0.0, .seed = args.seed});
     OpResult result;
     result.name = op;
     for (int trial = 0; trial < args.trials; ++trial) {
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
   }
 
   for (const std::string& op : migration_ops) {
-    Testbed bed(args.seed + 7, /*packet_loss=*/0.0);
+    api::Deployment bed({.packet_loss = 0.0, .seed = args.seed + 7});
     OpResult result;
     result.name = op;
     for (int trial = 0; trial < args.trials; ++trial) {

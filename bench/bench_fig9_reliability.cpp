@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
                "Fok et al., Sec. 4, Fig. 9 (5x5 MICA2 grid, 100 runs/point)");
   std::printf("trials/point = %d, loss = %.0f %% + %.2f %%/byte (37 B data frame ~8 %%)\n\n",
               args.trials, args.loss * 100.0,
-              kExperimentPerByteLoss * 100.0);
+              api::kDefaultPerByteLoss * 100.0);
 
   const harness::RunnerOptions runner{.threads = args.threads};
   const harness::ExperimentResult smove = harness::run_experiment(

@@ -27,7 +27,7 @@ struct Outcome {
 };
 
 Outcome run_agilla(std::uint64_t seed) {
-  Testbed bed(seed, 0.03);
+  api::Deployment bed({.packet_loss = 0.03, .seed = seed});
   core::BaseStation base(bed.mote(0));
   const std::uint64_t frames0 = bed.network().stats().frames_sent;
   const std::uint64_t bytes0 = bed.network().stats().bytes_on_air;

@@ -14,7 +14,7 @@ int main() {
   print_header("Memory footprint — per-node data RAM ledger",
                "Fok et al., abstract / Sec. 1 (3.59 KB of 4 KB data memory)");
 
-  Testbed bed(1, 0.0, core::AgillaConfig(), 1, 1);
+  api::Deployment bed({.width = 1, .height = 1, .packet_loss = 0.0});
   const core::MemoryBudget budget = bed.mote(0).memory_budget();
   std::printf("%s\n", budget.to_table().c_str());
 
@@ -54,7 +54,11 @@ int main() {
   lean.code_pool_blocks = 10;
   lean.tuple_space.store_capacity_bytes = 300;
   lean.tuple_space.registry.capacity_bytes = 200;
-  Testbed lean_bed(1, 0.0, lean, 1, 1);
+  api::Deployment lean_bed({.width = 1,
+                            .height = 1,
+                            .packet_loss = 0.0,
+                            .store = lean.tuple_space.store_kind,
+                            .config = lean});
   std::printf("\nlean configuration (2 agents, 220 B code, 300 B store):\n%s",
               lean_bed.mote(0).memory_budget().to_table().c_str());
   return 0;

@@ -21,7 +21,7 @@ inline harness::ExperimentSpec fig8_spec(std::string scenario, int trials,
   spec.scenario = std::move(scenario);
   spec.grids = {{5, 5}};
   spec.loss_rates = {loss};
-  spec.per_byte_loss = kExperimentPerByteLoss;
+  spec.per_byte_loss = api::kDefaultPerByteLoss;
   spec.axes = {{"hops", {1, 2, 3, 4, 5}}};
   spec.trials = trials;
   spec.base_seed = seed;

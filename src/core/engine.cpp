@@ -27,7 +27,7 @@ AgillaEngine::AgillaEngine(sim::Simulator& sim, sim::NodeId node,
                            CodePool& code_pool, ts::TupleSpace& tuple_space,
                            ContextManager& context, SensorBoard& sensors,
                            MigrationManager& migration,
-                           RemoteTsManager& remote_ts, sim::Trace* trace)
+                           RemoteTsManager& remote_ts)
     : sim_(sim),
       node_(node),
       options_(options),
@@ -38,18 +38,9 @@ AgillaEngine::AgillaEngine(sim::Simulator& sim, sim::NodeId node,
       sensors_(sensors),
       migration_(migration),
       remote_ts_(remote_ts),
-      trace_(trace),
       dispatcher_(std::make_unique<VmDispatcher>(*this)) {}
 
 AgillaEngine::~AgillaEngine() = default;
-
-void AgillaEngine::trace_agent(const Agent& agent,
-                               const std::string& message) {
-  if (trace_ != nullptr) {
-    trace_->emit(sim_.now(), sim::TraceCategory::kAgent, node_,
-                 "agent#" + std::to_string(agent.id().value) + " " + message);
-  }
-}
 
 std::optional<AgentId> AgillaEngine::launch(
     std::span<const std::uint8_t> code) {
@@ -66,7 +57,6 @@ std::optional<AgentId> AgillaEngine::launch(
   }
   agent->set_decoded_program(dispatcher_->on_code_stored(*handle, code));
   stats_.agents_launched++;
-  trace_agent(*agent, "launched");
   if (hooks_.on_spawn) {
     hooks_.on_spawn(agent->id(), /*via_migration=*/false);
   }
@@ -98,13 +88,11 @@ bool AgillaEngine::install(AgentImage image, bool reached_dest) {
     for (ts::Reaction reaction : image.reactions) {
       reaction.agent_id = image.agent_id;
       if (!tuple_space_.register_reaction(std::move(reaction))) {
-        trace_agent(*agent, "reaction registry full on arrival");
+        stats_.reactions_lost_on_arrival++;
       }
     }
   }
   stats_.agents_installed++;
-  trace_agent(*agent, reached_dest ? "installed at destination"
-                                   : "installed (custody resume)");
   if (hooks_.on_spawn) {
     hooks_.on_spawn(agent->id(), /*via_migration=*/true);
   }
@@ -280,7 +268,6 @@ void AgillaEngine::destroy(AgentId id, bool drop_reactions) {
 
 void AgillaEngine::die(Agent& agent, const std::string& reason) {
   stats_.vm_errors++;
-  trace_agent(agent, "vm error: " + reason);
   if (hooks_.on_kill) {
     hooks_.on_kill(agent.id(), reason);
   }
@@ -390,7 +377,7 @@ void AgillaEngine::on_reaction(const ts::Reaction& reaction,
       if (queue.size() < kMaxPendingReactions) {
         queue.push_back(PendingReaction{reaction, tuple});
       } else {
-        trace_agent(*agent, "pending reaction queue full; dropped");
+        stats_.reactions_dropped++;
       }
       return;
     }
@@ -416,8 +403,6 @@ void AgillaEngine::deliver_reaction(Agent& agent,
     return;
   }
   agent.set_pc(reaction.handler_pc);
-  trace_agent(agent, "reaction fired -> pc " +
-                         std::to_string(reaction.handler_pc));
 }
 
 }  // namespace agilla::core

@@ -30,7 +30,6 @@
 #include "energy/battery.h"
 #include "energy/energy_model.h"
 #include "sim/simulator.h"
-#include "sim/trace.h"
 
 namespace agilla::core {
 
@@ -74,6 +73,12 @@ struct EngineStats {
   std::uint64_t migrations_failed = 0;  ///< resumed with condition 0
   std::uint64_t remote_ops = 0;
   std::uint64_t reactions_fired = 0;
+  /// Reactions a strong-migration arrival carried that did not fit this
+  /// node's registry (the agent is installed without them).
+  std::uint64_t reactions_lost_on_arrival = 0;
+  /// Reactions that fired while their agent was blocked and found its
+  /// pending queue full.
+  std::uint64_t reactions_dropped = 0;
 };
 
 /// One dispatched instruction, as seen by the pre/post taps and the trace
@@ -140,7 +145,7 @@ class AgillaEngine {
                AgentManager& agents, CodePool& code_pool,
                ts::TupleSpace& tuple_space, ContextManager& context,
                SensorBoard& sensors, MigrationManager& migration,
-               RemoteTsManager& remote_ts, sim::Trace* trace = nullptr);
+               RemoteTsManager& remote_ts);
   ~AgillaEngine();
 
   AgillaEngine(const AgillaEngine&) = delete;
@@ -242,7 +247,6 @@ class AgillaEngine {
 
   void deliver_reaction(Agent& agent, const ts::Reaction& reaction,
                         const ts::Tuple& tuple);
-  void trace_agent(const Agent& agent, const std::string& message);
 
   sim::Simulator& sim_;
   sim::NodeId node_;
@@ -254,7 +258,6 @@ class AgillaEngine {
   SensorBoard& sensors_;
   MigrationManager& migration_;
   RemoteTsManager& remote_ts_;
-  sim::Trace* trace_;
   energy::Battery* battery_ = nullptr;
   energy::CpuEnergyModel cpu_energy_{};
   EngineHooks hooks_;

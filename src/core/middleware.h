@@ -41,8 +41,7 @@ class AgillaMiddleware {
   /// nullptr (no sensors). The instance must outlive the simulation run.
   AgillaMiddleware(sim::Network& network, sim::NodeId self,
                    const sim::SensorEnvironment* environment,
-                   AgillaConfig config = AgillaConfig(),
-                   sim::Trace* trace = nullptr);
+                   AgillaConfig config = AgillaConfig());
 
   AgillaMiddleware(const AgillaMiddleware&) = delete;
   AgillaMiddleware& operator=(const AgillaMiddleware&) = delete;

@@ -49,13 +49,10 @@ class RegionOps {
     std::uint64_t out_of_region_dropped = 0;
   };
 
-  RegionOps(sim::Network& network, net::LinkLayer& link,
-            net::GeoRouter& router, ts::TupleSpace& space,
-            sim::Location self);
-  RegionOps(sim::Network& network, net::LinkLayer& link,
-            net::GeoRouter& router, ts::TupleSpace& space,
-            sim::Location self, Options options,
-            sim::Trace* trace = nullptr);
+  RegionOps(net::LinkLayer& link, net::GeoRouter& router,
+            ts::TupleSpace& space, sim::Location self);
+  RegionOps(net::LinkLayer& link, net::GeoRouter& router,
+            ts::TupleSpace& space, sim::Location self, Options options);
 
   RegionOps(const RegionOps&) = delete;
   RegionOps& operator=(const RegionOps&) = delete;
@@ -77,13 +74,11 @@ class RegionOps {
                              bool from_flood);
   [[nodiscard]] bool remember(std::uint64_t key);
 
-  sim::Network& network_;
   net::LinkLayer& link_;
   net::GeoRouter& router_;
   ts::TupleSpace& space_;
   sim::Location self_;
   Options options_;
-  sim::Trace* trace_;
   std::deque<std::uint64_t> seen_;
   std::uint16_t next_flood_id_ = 1;
   Stats stats_;

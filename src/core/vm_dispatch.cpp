@@ -561,7 +561,6 @@ VmDispatcher::StepResult VmDispatcher::h_halt(Agent& agent,
                                               const DecodedInsn& /*d*/,
                                               sim::SimTime& /*cost*/) {
   e_.stats_.agents_halted++;
-  e_.trace_agent(agent, "halt");
   if (e_.hooks_.on_kill) {
     e_.hooks_.on_kill(agent.id(), "halt");
   }
@@ -652,7 +651,6 @@ VmDispatcher::StepResult VmDispatcher::h_sleep(Agent& agent,
       e_.make_ready(*a);
     }
   });
-  e_.trace_agent(agent, "sleep " + std::to_string(ticks) + " ticks");
   return StepResult::kBlocked;
 }
 
@@ -661,7 +659,6 @@ VmDispatcher::StepResult VmDispatcher::h_putled(Agent& agent,
                                                 sim::SimTime& cost) {
   cost += d.precharge;
   e_.leds_ = static_cast<std::uint8_t>(agent.pop().as_number() & 0x7);
-  e_.trace_agent(agent, "leds=" + std::to_string(e_.leds_));
   return StepResult::kContinue;
 }
 
@@ -708,7 +705,6 @@ VmDispatcher::StepResult VmDispatcher::h_wait(Agent& agent,
                                               sim::SimTime& cost) {
   cost += d.precharge;
   e_.block_agent(agent, AgentRunState::kWaitingRxn, "wait");
-  e_.trace_agent(agent, "wait");
   return StepResult::kBlocked;
 }
 
@@ -1193,7 +1189,6 @@ VmDispatcher::StepResult VmDispatcher::exec_migration(Agent& agent,
   }
   e_.block_agent(agent, AgentRunState::kBlockedOp, "migrate");
   const AgentId id = agent.id();
-  e_.trace_agent(agent, std::string(to_string(mop)) + " ->");
   e_.migration_.send(std::move(image), [this, id, mop](bool success) {
     Agent* a = e_.agents_.find(id);
     if (a == nullptr) {

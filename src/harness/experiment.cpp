@@ -2,6 +2,7 @@
 
 #include <charconv>
 
+#include "api/knob_registry.h"
 #include "sim/rng.h"
 
 namespace agilla::harness {
@@ -72,6 +73,17 @@ std::vector<TrialSpec> expand_trials(const ExperimentSpec& spec) {
     }
   }
   return trials;
+}
+
+api::DeploymentOptions options_for(const TrialSpec& trial) {
+  api::DeploymentOptions options{.width = trial.grid.width,
+                                 .height = trial.grid.height,
+                                 .packet_loss = trial.packet_loss,
+                                 .per_byte_loss = trial.per_byte_loss,
+                                 .seed = trial.seed,
+                                 .store = trial.store};
+  api::apply_knobs(options, trial.params);
+  return options;
 }
 
 std::optional<GridSize> parse_grid(std::string_view text) {

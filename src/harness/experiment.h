@@ -19,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/deployment.h"
 #include "sim/types.h"
 #include "tuplespace/store_interface.h"
 
@@ -94,6 +95,11 @@ struct TrialSpec {
 /// All trials, ordered by (cell, trial).
 [[nodiscard]] std::vector<TrialSpec> expand_trials(
     const ExperimentSpec& spec);
+
+/// The deployment one trial runs on: grid, loss, seed and store from the
+/// spec by hand, every named knob through api::apply_knobs (the registry
+/// seam).
+[[nodiscard]] api::DeploymentOptions options_for(const TrialSpec& trial);
 
 /// Parses "16x16" / "8" (square shorthand) into a GridSize.
 [[nodiscard]] std::optional<GridSize> parse_grid(std::string_view text);

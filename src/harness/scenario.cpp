@@ -6,13 +6,13 @@
 #include <initializer_list>
 #include <utility>
 
+#include "api/deployment.h"
 #include "api/knob_registry.h"
 #include "core/agent_library.h"
 #include "core/assembler.h"
 #include "core/isa.h"
 #include "core/vm_costs.h"
 #include "energy/battery.h"
-#include "harness/mesh.h"
 #include "sim/environment.h"
 #include "sim/stats.h"
 
@@ -24,8 +24,8 @@ ts::Template marker_template(const char* tag) {
                       ts::Value::type_wildcard(ts::ValueType::kLocation)};
 }
 
-void record_network_stats(const Mesh& mesh, const sim::Network& network,
-                          TrialMetrics& metrics) {
+void record_network_stats(const api::Deployment& mesh,
+                          const sim::Network& network, TrialMetrics& metrics) {
   (void)mesh;
   const sim::NetworkStats& stats = network.stats();
   metrics.set("frames_sent", static_cast<double>(stats.frames_sent));
@@ -44,7 +44,7 @@ void record_network_stats(const Mesh& mesh, const sim::Network& network,
 }
 
 /// Network-wide per-component energy draw, when batteries are attached.
-void record_energy_stats(Mesh& mesh, TrialMetrics& metrics) {
+void record_energy_stats(api::Deployment& mesh, TrialMetrics& metrics) {
   if (mesh.network().energy_options() == nullptr) {
     return;
   }
@@ -70,7 +70,7 @@ void record_energy_stats(Mesh& mesh, TrialMetrics& metrics) {
 /// gateway's own neighbours die" and hide what routing policy does to
 /// the corridor between the regions. (With gateway_powered=false there
 /// is no mains node and every mote participates.)
-bool mesh_partitioned(Mesh& mesh) {
+bool mesh_partitioned(api::Deployment& mesh) {
   const sim::Network& network = mesh.network();
   const bool skip_gateway = network.energy_options() != nullptr &&
                             network.energy_options()->gateway_powered;
@@ -109,7 +109,7 @@ bool mesh_partitioned(Mesh& mesh) {
 
 /// Residual-energy spread across surviving batteries: how evenly the
 /// routing policy drained the mesh (max-min should lift the minimum).
-void record_residual_stats(Mesh& mesh, TrialMetrics& metrics) {
+void record_residual_stats(api::Deployment& mesh, TrialMetrics& metrics) {
   mesh.network().settle_batteries();
   sim::Summary residuals;
   for (const sim::NodeId id : mesh.topology().nodes) {
@@ -154,7 +154,7 @@ sim::FireField::Options fire_options_for(const TrialSpec& trial,
 /// FIRETRACKER swarm marks the perimeter. Success = the first <"trk", loc>
 /// perimeter mark appears before the trial ends.
 TrialMetrics run_fire_tracking(const TrialSpec& trial) {
-  Mesh mesh(trial);
+  api::Deployment mesh(options_for(trial));
   const sim::SimTime inject_time = mesh.simulator().now();
   const sim::FireField::Options fire_options =
       fire_options_for(trial, inject_time);
@@ -235,7 +235,7 @@ sim::MovingBumpField::Options intruder_options_for(const TrialSpec& trial) {
 }
 
 /// The pursuer is wherever two agents share a node (sentinel + pursuer).
-std::optional<sim::Location> pursuer_location(Mesh& mesh) {
+std::optional<sim::Location> pursuer_location(api::Deployment& mesh) {
   for (std::size_t i = 0; i < mesh.mote_count(); ++i) {
     if (mesh.mote(i).agents().count() >= 2) {
       return mesh.mote(i).location();
@@ -246,7 +246,7 @@ std::optional<sim::Location> pursuer_location(Mesh& mesh) {
 
 /// Injects the sentinel flood, lets it claim the grid, then releases the
 /// pursuer (the shared opening of both pursuit scenarios).
-void deploy_pursuit_agents(Mesh& mesh) {
+void deploy_pursuit_agents(api::Deployment& mesh) {
   core::BaseStation base = mesh.base();
   base.inject(core::agents::sentinel(/*sample_ticks=*/8));
   mesh.simulator().run_for(30 * sim::kSecond);  // sentinels claim the grid
@@ -257,7 +257,7 @@ void deploy_pursuit_agents(Mesh& mesh) {
 /// one PURSUER chases the loudest signal. The intruder patrols the mesh
 /// perimeter; metrics score how closely the pursuer shadows it.
 TrialMetrics run_intruder_pursuit(const TrialSpec& trial) {
-  Mesh mesh(trial);
+  api::Deployment mesh(options_for(trial));
   const sim::MovingBumpField::Options intruder_options =
       intruder_options_for(trial);
   mesh.environment().set_field(
@@ -330,7 +330,7 @@ int default_hops(const GridSize& grid) {
 /// mesh + one agent; success when the round trip completes. Latency is
 /// halved for the double migration (paper Sec. 4).
 TrialMetrics run_smove(const TrialSpec& trial) {
-  Mesh mesh(trial);
+  api::Deployment mesh(options_for(trial));
   // Clamp unrealizable hop counts and report the realized value, so a
   // cell whose axis asks for more hops than the grid has is
   // self-describing in the JSON rather than silently mislabeled.
@@ -369,7 +369,7 @@ TrialMetrics run_smove(const TrialSpec& trial) {
 /// Fig. 8 (bottom): rout a tuple onto the node `hops` away; success when
 /// the acknowledged remote op completes.
 TrialMetrics run_rout(const TrialSpec& trial) {
-  Mesh mesh(trial);
+  api::Deployment mesh(options_for(trial));
   const int hops = std::min(
       static_cast<int>(trial.param("hops", default_hops(trial.grid))),
       max_hops(trial.grid));
@@ -472,7 +472,7 @@ TrialMetrics run_network_lifetime(const TrialSpec& trial_in) {
   // ~70 s always-on — deaths land inside the default 120 s trial, and
   // duty-cycled cells visibly outlive always-on ones.
   trial.params.try_emplace("battery_mj", 2000.0);
-  Mesh mesh(trial);
+  api::Deployment mesh(options_for(trial));
   const std::size_t nodes = mesh.mote_count();
 
   const sim::SimTime inject_time = mesh.simulator().now();
@@ -529,7 +529,7 @@ TrialMetrics run_network_lifetime(const TrialSpec& trial_in) {
   // Lifetime accounting: node lifetimes (virtual seconds from boot to
   // death) across this trial's deaths, in death order.
   sim::Summary lifetimes;
-  for (const Mesh::DeathEvent& death : mesh.death_log()) {
+  for (const api::Deployment::DeathEvent& death : mesh.death_log()) {
     lifetimes.add(static_cast<double>(death.at) / 1e6);
   }
   metrics.set("deaths", static_cast<double>(lifetimes.count()));
@@ -570,7 +570,7 @@ TrialMetrics run_network_lifetime(const TrialSpec& trial_in) {
 /// mesh still works, partition and residual spread measure what the
 /// policy did to the corridor.
 TrialMetrics run_report_collection(const TrialSpec& trial) {
-  Mesh mesh(trial);
+  api::Deployment mesh(options_for(trial));
   const double report_s = trial.param("report_s", 4.0);
   const int report_ticks =
       std::max(1, static_cast<int>(report_s * 8.0));
@@ -624,7 +624,7 @@ TrialMetrics run_report_collection(const TrialSpec& trial) {
                 static_cast<double>(*first_partition - start) / 1e6);
   }
   sim::Summary lifetimes;
-  for (const Mesh::DeathEvent& death : mesh.death_log()) {
+  for (const api::Deployment::DeathEvent& death : mesh.death_log()) {
     lifetimes.add(static_cast<double>(death.at) / 1e6);
   }
   metrics.set("deaths", static_cast<double>(lifetimes.count()));
@@ -653,7 +653,7 @@ TrialMetrics run_churn_pursuit(const TrialSpec& trial_in) {
   // ~0.004 crashes/node/s on a 5x5 mesh = one crash every ~10 s.
   trial.params.try_emplace("churn_rate", 0.004);
   trial.params.try_emplace("churn_reboot_s", 20.0);
-  Mesh mesh(trial);
+  api::Deployment mesh(options_for(trial));
   const sim::MovingBumpField::Options intruder_options =
       intruder_options_for(trial);
   mesh.environment().set_field(

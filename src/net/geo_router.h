@@ -58,12 +58,10 @@ class GeoRouter {
   using Handler = std::function<void(const GeoHeader&,
                                      std::span<const std::uint8_t>)>;
 
-  GeoRouter(sim::Network& network, LinkLayer& link,
-            const NeighborTable& neighbors, sim::Location self,
-            sim::Trace* trace = nullptr);
-  GeoRouter(sim::Network& network, LinkLayer& link,
-            const NeighborTable& neighbors, sim::Location self,
-            Options options, sim::Trace* trace = nullptr);
+  GeoRouter(LinkLayer& link, const NeighborTable& neighbors,
+            sim::Location self);
+  GeoRouter(LinkLayer& link, const NeighborTable& neighbors,
+            sim::Location self, Options options);
 
   GeoRouter(const GeoRouter&) = delete;
   GeoRouter& operator=(const GeoRouter&) = delete;
@@ -99,12 +97,10 @@ class GeoRouter {
   [[nodiscard]] std::optional<sim::NodeId> max_min_next_hop(
       sim::Location dest, double self_distance) const;
 
-  sim::Network& network_;
   LinkLayer& link_;
   const NeighborTable& neighbors_;
   sim::Location self_;
   Options options_;
-  sim::Trace* trace_;
   std::unordered_map<sim::AmType, Handler> handlers_;
   Stats stats_;
 };

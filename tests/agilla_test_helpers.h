@@ -30,7 +30,7 @@ class AgillaMesh {
     topo = sim::make_grid(net, options.width, options.height);
     for (sim::NodeId id : topo.nodes) {
       nodes.push_back(std::make_unique<core::AgillaMiddleware>(
-          net, id, &env, options.config, &trace));
+          net, id, &env, options.config));
       if (options.start) {
         nodes.back()->start();
       }
@@ -62,7 +62,6 @@ class AgillaMesh {
 
   sim::Simulator sim;
   sim::Network net;
-  sim::Trace trace;
   sim::SensorEnvironment env;
   sim::Topology topo;
   std::vector<std::unique_ptr<core::AgillaMiddleware>> nodes;

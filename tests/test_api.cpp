@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "harness/json_writer.h"
-#include "harness/mesh.h"
 #include "harness/runner.h"
 #include "harness/scenario.h"
 
@@ -376,7 +375,7 @@ TEST(Deployment, OverhearingChargesFilteringReceivers) {
 /// differ between thread counts.
 harness::TrialMetrics run_observer_probe(const harness::TrialSpec& trial) {
   EventCounter counter;
-  harness::Mesh mesh(trial);
+  Deployment mesh(harness::options_for(trial));
   mesh.bus().subscribe(counter);
   mesh.base().inject(core::agents::sentinel(/*sample_ticks=*/8));
   mesh.simulator().run_for(trial.duration);

@@ -1,14 +1,16 @@
 // Cross-dispatch equivalence: the pre-decoded threaded dispatch
 // (core/vm_dispatch.h) must be byte-identical in simulated behaviour to
-// the reference switch interpreter — same traces, same stats, same final
-// tuple-space state, same agent registers — over hand-written programs, a
-// random-bytecode corpus, and a full harness sweep. Only host-side speed
-// may differ (bench_vm_throughput measures that).
+// the reference switch interpreter — same time-stamped lifecycle events,
+// same stats, same final tuple-space state, same agent registers — over
+// hand-written programs, a random-bytecode corpus, and a full harness
+// sweep. Only host-side speed may differ (bench_vm_throughput measures
+// that).
 #include <gtest/gtest.h>
 
 #include <regex>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "agilla_test_helpers.h"
@@ -31,10 +33,36 @@ std::vector<std::uint8_t> random_bytes(sim::Rng& rng, std::size_t max_len) {
   return out;
 }
 
+/// Appends every lifecycle event of `mote`'s engine to `log`, one
+/// time-stamped line each.
+void log_lifecycle(const sim::Simulator& sim, core::AgillaMiddleware& mote,
+                   std::string& log) {
+  const auto line = [&sim, &log](core::AgentId id, std::string_view what) {
+    log += std::to_string(sim.now()) + " agent#" + std::to_string(id.value) +
+           " " + std::string(what) + "\n";
+  };
+  core::EngineHooks& hooks = mote.engine().hooks();
+  hooks.on_spawn = [line](core::AgentId id, bool via_migration) {
+    line(id, via_migration ? "spawn migration" : "spawn inject");
+  };
+  hooks.on_kill = [line](core::AgentId id, std::string_view reason) {
+    line(id, "kill " + std::string(reason));
+  };
+  hooks.on_migrate = [line](core::AgentId id, sim::Location dest) {
+    std::ostringstream out;
+    out << "migrate " << dest;
+    line(id, out.str());
+  };
+  hooks.on_block = [line](core::AgentId id, std::string_view reason) {
+    line(id, "block " + std::string(reason));
+  };
+  hooks.on_resume = [line](core::AgentId id) { line(id, "resume"); };
+}
+
 /// Everything observable about one mote after a run, rendered to text so
-/// failures diff readably.
+/// failures diff readably. `log` is the mote's lifecycle log.
 std::string observable_state(core::AgillaMiddleware& mote,
-                             const sim::TraceRecorder& recorder) {
+                             const std::string& log) {
   std::ostringstream out;
   const core::EngineStats& s = mote.engine().stats();
   out << "instructions=" << s.instructions << " slices=" << s.slices
@@ -44,7 +72,33 @@ std::string observable_state(core::AgillaMiddleware& mote,
       << " rejected=" << s.agents_rejected
       << " migrations=" << s.migrations_started << "/"
       << s.migrations_failed << " remote=" << s.remote_ops
-      << " reactions=" << s.reactions_fired << "\n";
+      << " reactions=" << s.reactions_fired << "/"
+      << s.reactions_lost_on_arrival << "/" << s.reactions_dropped << "\n";
+  const net::LinkLayer::Stats& link = mote.link().stats();
+  out << "link sent=" << link.data_sent << " retx=" << link.retransmissions
+      << " acks=" << link.acks_sent << " failures=" << link.send_failures
+      << " dups=" << link.duplicates_dropped << "\n";
+  const core::MigrationManager::Stats& mig = mote.migration().stats();
+  out << "migration started=" << mig.transfers_started
+      << " hops=" << mig.hops_completed << "/" << mig.hop_failures
+      << " no_route=" << mig.no_route << " arrivals=" << mig.arrivals
+      << " custody=" << mig.custody_resumes
+      << " aborts=" << mig.receiver_aborts
+      << " messages=" << mig.messages_sent << "\n";
+  const core::RemoteTsManager::Stats& rts = mote.remote_ts().stats();
+  out << "remote_ts sent=" << rts.requests_sent
+      << " retx=" << rts.retransmissions << " served=" << rts.requests_served
+      << " replies=" << rts.replies_sent
+      << " replayed=" << rts.duplicates_replayed
+      << " timeouts=" << rts.timeouts << " completions=" << rts.completions
+      << " ids_exhausted=" << rts.ids_exhausted << "\n";
+  const core::RegionOps::Stats& region = mote.region_ops().stats();
+  out << "region originated=" << region.originated
+      << " seeds=" << region.seeds_delivered
+      << " relayed=" << region.floods_relayed
+      << " inserted=" << region.tuples_inserted
+      << " dups=" << region.duplicates_dropped
+      << " outside=" << region.out_of_region_dropped << "\n";
   out << "leds=" << static_cast<int>(mote.engine().leds())
       << " pool_blocks=" << mote.code_pool().used_blocks() << "\n";
   for (const auto& agent : mote.agents().agents()) {
@@ -64,9 +118,7 @@ std::string observable_state(core::AgillaMiddleware& mote,
   for (const ts::Tuple& tuple : mote.tuple_space().store().snapshot()) {
     out << "tuple " << tuple.to_string() << "\n";
   }
-  for (const sim::TraceRecord& record : recorder.records()) {
-    out << sim::format(record) << "\n";
-  }
+  out << log;
   return out.str();
 }
 
@@ -82,8 +134,10 @@ std::string run_mesh(core::DispatchMode mode,
   options.seed = 7;
   options.config.engine.dispatch = mode;
   AgillaMesh mesh(options);
-  sim::TraceRecorder recorder;
-  recorder.attach(mesh.trace);
+  std::vector<std::string> logs(mesh.nodes.size());
+  for (std::size_t i = 0; i < mesh.nodes.size(); ++i) {
+    log_lifecycle(mesh.sim, mesh.at(i), logs[i]);
+  }
   mesh.warm();
   for (const auto& program : programs) {
     mesh.at(0).inject(program);
@@ -92,8 +146,7 @@ std::string run_mesh(core::DispatchMode mode,
   std::string merged;
   for (std::size_t i = 0; i < mesh.nodes.size(); ++i) {
     merged += "--- node " + std::to_string(i) + "\n";
-    merged += observable_state(mesh.at(i), recorder);
-    recorder.clear();  // records were already folded into node 0's block
+    merged += observable_state(mesh.at(i), logs[i]);
   }
   return merged;
 }
@@ -238,8 +291,8 @@ TEST(DispatchEquivalence, BatchSizeDoesNotChangeOutcomes) {
       mesh.at(0).inject(program);
     }
     mesh.sim.run_for(30 * sim::kSecond);
-    const sim::TraceRecorder no_trace;
-    return observable_state(mesh.at(0), no_trace);
+    // No lifecycle log: its timestamps may shift with the batch size.
+    return observable_state(mesh.at(0), "");
   };
   const std::string batch1 = run_with_batch(1);
   EXPECT_EQ(batch1, run_with_batch(8));

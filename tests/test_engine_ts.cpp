@@ -408,5 +408,34 @@ TEST(EngineTs, ReactionQueuedWhileBlockedOnRemoteOp) {
                   .has_value());
 }
 
+TEST(EngineTs, ReactionsBeyondThePendingCapAreCountedAsDropped) {
+  // A blocked agent queues at most four reactions; each one past that is
+  // dropped and counted.
+  AgillaMesh mesh(MeshOptions{.width = 2, .height = 1});
+  mesh.warm();
+  mesh.at(0).inject(assemble_or_die(R"(
+      pushn key
+      pushc 1
+      pushc HIT
+      regrxn
+      pusht NUMBER
+      pushc 1
+      pushloc 2 1
+      rinp           // blocks the agent for the round trip (~50 ms)
+      halt
+      HIT pop
+      jumps
+  )"));
+  mesh.sim.run_for(20 * sim::kMillisecond);  // rinp is now in flight
+  const EngineStats& stats = mesh.at(0).engine().stats();
+  for (int i = 0; i < 4; ++i) {
+    mesh.at(0).tuple_space().out(ts::Tuple{ts::Value::string("key")});
+  }
+  EXPECT_EQ(stats.reactions_dropped, 0u);
+  mesh.at(0).tuple_space().out(ts::Tuple{ts::Value::string("key")});
+  mesh.at(0).tuple_space().out(ts::Tuple{ts::Value::string("key")});
+  EXPECT_EQ(stats.reactions_dropped, 2u);
+}
+
 }  // namespace
 }  // namespace agilla::core

@@ -28,8 +28,8 @@ struct RoutedMesh {
       links.push_back(std::make_unique<LinkLayer>(net, id));
       tables.push_back(
           std::make_unique<NeighborTable>(net, *links.back(), loc));
-      routers.push_back(std::make_unique<GeoRouter>(
-          net, *links.back(), *tables.back(), loc));
+      routers.push_back(
+          std::make_unique<GeoRouter>(*links.back(), *tables.back(), loc));
       links.back()->attach();
       tables.back()->start();
     }
@@ -200,7 +200,7 @@ struct PolicyFixture {
         self(net.add_node(at)),
         link(net, self),
         table(net, link, at),
-        router(net, link, table, at, options) {}
+        router(link, table, at, options) {}
 };
 
 TEST(MaxMinRouting, PrefersChargedNeighborAmongEqualProgress) {

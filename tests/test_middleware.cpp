@@ -1,6 +1,10 @@
 // The per-node facade: construction, wiring, config plumbing.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "agilla_test_helpers.h"
 #include "core/assembler.h"
 
@@ -61,14 +65,21 @@ TEST(Middleware, CustomConfigHonored) {
   EXPECT_EQ(mesh.at(0).tuple_space().store().capacity_bytes(), 100u);
 }
 
-TEST(Middleware, TraceReceivesAgentEvents) {
+TEST(Middleware, HooksReceiveAgentEvents) {
   AgillaMesh mesh(MeshOptions{.width = 1, .height = 1});
-  sim::TraceRecorder recorder;
-  recorder.attach(mesh.trace);
+  std::vector<bool> spawns;  // via_migration per spawn
+  std::vector<std::string> kills;
+  EngineHooks& hooks = mesh.at(0).engine().hooks();
+  hooks.on_spawn = [&](AgentId, bool via_migration) {
+    spawns.push_back(via_migration);
+  };
+  hooks.on_kill = [&](AgentId, std::string_view reason) {
+    kills.emplace_back(reason);
+  };
   mesh.at(0).inject(assemble_or_die("halt"));
   mesh.sim.run_for(100 * sim::kMillisecond);
-  EXPECT_GE(recorder.count_containing("launched"), 1u);
-  EXPECT_GE(recorder.count_containing("halt"), 1u);
+  EXPECT_EQ(spawns, std::vector<bool>{false});
+  EXPECT_EQ(kills, std::vector<std::string>{"halt"});
 }
 
 TEST(Middleware, NodesAreIsolatedStacks) {

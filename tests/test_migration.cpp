@@ -279,6 +279,32 @@ TEST(Migration, StrongMoveCarriesReactions) {
   EXPECT_TRUE(has_string_tuple(mesh.at(1), "oky"));
 }
 
+TEST(Migration, ReactionsLostWhenTheArrivalRegistryIsFull) {
+  AgillaMesh mesh(MeshOptions{.width = 2, .height = 1});
+  mesh.warm();
+  // Fill the destination's registry: 400 B at 40 B per reaction.
+  ts::TupleSpace& dest = mesh.at(1).tuple_space();
+  for (std::uint16_t owner = 900; owner < 910; ++owner) {
+    ASSERT_TRUE(dest.register_reaction(ts::Reaction{.agent_id = owner}));
+  }
+  mesh.at(0).inject(assemble_or_die(R"(
+      pushn key
+      pushc 1
+      pushc HIT
+      regrxn
+      pushloc 2 1
+      smove
+      wait
+      HIT halt
+  )"));
+  mesh.sim.run_for(3 * sim::kSecond);
+  // The agent arrived and waits, but without its reaction.
+  const EngineStats& stats = mesh.at(1).engine().stats();
+  EXPECT_EQ(stats.agents_installed, 1u);
+  EXPECT_EQ(stats.reactions_lost_on_arrival, 1u);
+  EXPECT_EQ(mesh.at(1).agents().count(), 1u);
+}
+
 TEST(Migration, NoRouteFailsWithConditionZero) {
   AgillaMesh mesh(MeshOptions{.width = 2, .height = 1});
   mesh.warm();

@@ -30,8 +30,8 @@ struct RoutedMesh {
       links.push_back(std::make_unique<LinkLayer>(net, id));
       tables.push_back(
           std::make_unique<NeighborTable>(net, *links.back(), loc));
-      routers.push_back(std::make_unique<GeoRouter>(
-          net, *links.back(), *tables.back(), loc));
+      routers.push_back(
+          std::make_unique<GeoRouter>(*links.back(), *tables.back(), loc));
       links.back()->attach();
       tables.back()->start();
     }
